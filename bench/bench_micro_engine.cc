@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   bench::Harness harness("micro_engine", argc, argv, /*default_repeats=*/5,
                          /*default_warmup=*/1);
   const int iters = static_cast<int>(flags.GetInt("iters", 20));
-  // --compression=0 pins the v1 (uncompressed) wire format; the encoded
-  // cases then measure the plain-string/plain-int paths on the same data.
+  // --compression=0 makes every frame column pass-through; the encoded cases
+  // then measure the plain-string/plain-int paths on the same data.
   const bool compression = flags.GetBool("compression", true);
   enc::SetWireCompression(compression);
 
@@ -369,6 +369,8 @@ X3 := batcalc.add(X1, X2);
 X4 := aggr.sum(X3);
 )";
     const int query_iters = std::max(1, static_cast<int>(iters / 4));
+    runtime::PrepareOptions no_cache;
+    no_cache.use_cache = false;
     auto warm = ring.OpenSession(0);
     DCY_CHECK_OK(warm.status());
     DCY_CHECK_OK(warm->Execute(plan_text).status());  // hot-set warmup
@@ -377,8 +379,7 @@ X4 := aggr.sum(X3);
                 Params(ring_rows, query_iters), [&] {
                   double blocked = 0.0;
                   for (int i = 0; i < query_iters; ++i) {
-                    auto p = ring.Prepare(plan_text, /*optimize=*/true,
-                                          /*use_cache=*/false);
+                    auto p = ring.Prepare(plan_text, no_cache);
                     DCY_CHECK_OK(p.status());
                     auto r = warm->Execute(*p);
                     DCY_CHECK_OK(r.status());

@@ -111,9 +111,9 @@ int main(int argc, char** argv) {
   const uint32_t writes = static_cast<uint32_t>(flags.GetInt("writes", 0));
   const uint32_t write_threads =
       static_cast<uint32_t>(flags.GetInt("write_threads", 2));
-  // --compression=0 ships uncompressed v1 frames (the pre-codec wire format);
-  // answers must stay bit-identical either way. The `bandwidth` row records
-  // what the codecs bought.
+  // --compression=0 ships every column pass-through (no codec analysis, the
+  // uncompressed baseline); answers must stay bit-identical either way. The
+  // `bandwidth` row records what the codecs bought.
   const bool compression = flags.GetBool("compression", true);
   bat::enc::SetWireCompression(compression);
 

@@ -26,7 +26,8 @@ namespace dcy::bat::enc {
 // Toggles
 
 /// Enables/disables wire compression process-wide (default on). Off emits
-/// byte-identical v1 frames — the backward-compat axis in CI bench smoke.
+/// frames with every column pass-through — the uncompressed A/B baseline of
+/// the CI bench smoke.
 void SetWireCompression(bool on);
 bool WireCompressionEnabled();
 

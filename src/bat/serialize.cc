@@ -9,12 +9,13 @@ namespace dcy::bat {
 namespace {
 
 constexpr uint32_t kMagic = 0xDC10B47u;  // "DC1.0 BAT"
-constexpr uint16_t kVersionPlain = 1;    // legacy pass-through layout
-constexpr uint16_t kVersionEncoded = 2;  // per-column codec byte ahead of the body
+// Per-column codec byte ahead of each body; any other version decodes as
+// Corruption.
+constexpr uint16_t kVersion = 2;
 
 enum class HeadKind : uint8_t { kDense = 0, kMaterialized = 1 };
 
-/// v2 per-column encoding byte: low nibble = codec, high bits carry the
+/// Per-column encoding byte: low nibble = codec, high bits carry the
 /// sender's memoized sortedness so the receiver's cache starts warm.
 enum class WireCodec : uint8_t { kPlain = 0, kDict = 1, kFor = 2 };
 constexpr uint8_t kEncCodecMask = 0x0F;
@@ -23,6 +24,7 @@ constexpr uint8_t kEncSorted = 0x20;
 constexpr uint8_t kEncKnownBits = 0x3F;
 
 constexpr size_t kPreludeBytes = 4 + 2 + 1 + 1;  // magic, version, props, head kind
+constexpr size_t kColHeaderBytes = 1 + 1 + 8;    // type, encoding, row count
 constexpr size_t kCrcBytes = 4;
 
 /// \brief Append writer over a buffer whose exact final size is reserved up
@@ -65,8 +67,8 @@ Status Get(std::string_view in, size_t* pos, T* v) {
 }
 
 /// Plain string body size ([num_offsets][offsets][heap_size][heap]); a
-/// dictionary column re-materializes its per-row strings here (only the v1
-/// path and the rare incompressible-dict case pay this).
+/// dictionary column re-materializes its per-row strings here (only
+/// compression-off frames pay the re-materialization itself).
 size_t PlainStrBodySize(const Column& c) {
   if (c.kind() == ColumnKind::kStr) {
     const auto& sc = static_cast<const StrColumn&>(c);
@@ -111,13 +113,6 @@ void PutPlainStrBody(Cursor* out, const Column& c) {
   }
 }
 
-/// On-wire v1 size of one column body (type byte + row count + payload).
-size_t ColumnWireSize(const Column& c) {
-  constexpr size_t kColHeader = 1 + 8;  // type byte + uint64 row count
-  if (c.type() == ValType::kStr) return kColHeader + PlainStrBodySize(c);
-  return kColHeader + c.size() * ValTypeWidth(c.type());
-}
-
 void PutPlainFixedBody(Cursor* out, const Column& c) {
   const size_t payload = c.size() * ValTypeWidth(c.type());
   if (payload == 0) return;
@@ -138,21 +133,12 @@ void PutPlainFixedBody(Cursor* out, const Column& c) {
   }
 }
 
-void PutColumn(Cursor* out, const Column& c) {
-  out->Put<uint8_t>(static_cast<uint8_t>(c.type()));
-  out->Put<uint64_t>(c.size());
-  if (c.type() == ValType::kStr) {
-    PutPlainStrBody(out, c);
-    return;
-  }
-  PutPlainFixedBody(out, c);
-}
-
-/// One column's v2 codec decision plus everything needed to emit its body.
+/// One column's codec decision plus everything needed to emit its body.
 struct ColPlan {
   const Column* col = nullptr;
   WireCodec codec = WireCodec::kPlain;
   uint8_t enc_byte = 0;
+  size_t plain_size = 0;              ///< pass-through body bytes
   size_t body_size = 0;               ///< bytes after [type][enc][count]
   unsigned code_bits = 0;             ///< dict codec
   std::optional<enc::DictPlan> dict;  ///< owned when planned from a plain StrColumn
@@ -164,10 +150,15 @@ uint8_t SortednessBits(const Column& c) {
   return kEncSortedKnown | (c.IsSorted() ? kEncSorted : 0);
 }
 
-ColPlan PlanColumnV2(const Column& c) {
+/// Chooses one column's codec. With compression off every column is
+/// pass-through and no codec analysis runs.
+ColPlan PlanColumn(const Column& c, bool compress) {
   ColPlan p;
   p.col = &c;
-  if (c.type() == ValType::kStr) {
+  p.plain_size = c.type() == ValType::kStr ? PlainStrBodySize(c)
+                                           : c.size() * ValTypeWidth(c.type());
+  p.body_size = p.plain_size;
+  if (compress) {
     if (c.kind() == ColumnKind::kDict) {
       // Already dictionary-encoded in memory (decoded off the ring): reuse
       // its dictionary and codes verbatim, no analysis.
@@ -175,23 +166,21 @@ ColPlan PlanColumnV2(const Column& c) {
       const size_t d = dc.dict_size();
       p.codec = WireCodec::kDict;
       p.code_bits = d <= 1 ? 0 : enc::BitWidth(d - 1);
-      p.body_size = 4 + (d + 1) * sizeof(uint32_t) + 8 + dc.dict()->heap().size() +
-                    1 + enc::PackedBytes(c.size(), p.code_bits);
-    } else if (auto dp = enc::PlanDict(static_cast<const StrColumn&>(c))) {
-      p.codec = WireCodec::kDict;
-      p.code_bits = dp->code_bits;
-      p.body_size = 4 + dp->offsets.size() * sizeof(uint32_t) + 8 + dp->heap.size() +
-                    1 + enc::PackedBytes(c.size(), dp->code_bits);
-      p.dict = std::move(dp);
-    } else {
-      p.body_size = PlainStrBodySize(c);
+      p.body_size = 4 + (d + 1) * sizeof(uint32_t) + 8 + dc.dict()->heap().size() + 1 +
+                    enc::PackedBytes(c.size(), p.code_bits);
+    } else if (c.type() == ValType::kStr) {
+      if (auto dp = enc::PlanDict(static_cast<const StrColumn&>(c))) {
+        p.codec = WireCodec::kDict;
+        p.code_bits = dp->code_bits;
+        p.body_size = 4 + dp->offsets.size() * sizeof(uint32_t) + 8 + dp->heap.size() +
+                      1 + enc::PackedBytes(c.size(), dp->code_bits);
+        p.dict = std::move(dp);
+      }
+    } else if (auto fp = enc::PlanFor(c)) {
+      p.codec = WireCodec::kFor;
+      p.forp = *fp;
+      p.body_size = 8 + 1 + enc::PackedBytes(c.size(), fp->bits);
     }
-  } else if (auto fp = enc::PlanFor(c)) {
-    p.codec = WireCodec::kFor;
-    p.forp = *fp;
-    p.body_size = 8 + 1 + enc::PackedBytes(c.size(), fp->bits);
-  } else {
-    p.body_size = c.size() * ValTypeWidth(c.type());
   }
   p.enc_byte = static_cast<uint8_t>(p.codec);
   if (p.codec == WireCodec::kFor) {
@@ -272,7 +261,8 @@ void PutForBody(Cursor* out, const ColPlan& p) {
   }
 }
 
-void PutColumnV2(Cursor* out, const ColPlan& p) {
+/// One column: [type u8][enc u8][count u64][codec body].
+void PutColumn(Cursor* out, const ColPlan& p) {
   const Column& c = *p.col;
   out->Put<uint8_t>(static_cast<uint8_t>(c.type()));
   out->Put<uint8_t>(p.enc_byte);
@@ -291,8 +281,7 @@ void PutColumnV2(Cursor* out, const ColPlan& p) {
   }
 }
 
-/// Decodes a pass-through column body (shared by v1 columns and v2 columns
-/// whose encoding byte says kPlain).
+/// Decodes a pass-through column body.
 Result<ColumnPtr> GetPlainBody(std::string_view in, size_t* pos, ValType type,
                                uint64_t n) {
   if (type == ValType::kStr) {
@@ -334,24 +323,8 @@ Result<ColumnPtr> GetPlainBody(std::string_view in, size_t* pos, ValType type,
   return Status::Corruption("bad column type");
 }
 
-/// v1 column: [type u8][count u64][plain body].
+/// One column: [type u8][enc u8][count u64][codec body].
 Result<ColumnPtr> GetColumn(std::string_view in, size_t* pos) {
-  uint8_t type_raw = 0;
-  uint64_t n = 0;
-  DCY_RETURN_NOT_OK(Get(in, pos, &type_raw));
-  DCY_RETURN_NOT_OK(Get(in, pos, &n));
-  if (type_raw > static_cast<uint8_t>(ValType::kDate)) {
-    return Status::Corruption("bad column type");
-  }
-  // Overflow-safe row bound: every plain row costs at least 4 payload bytes,
-  // so a count beyond the remaining buffer is corrupt (and would overflow
-  // the size arithmetic below).
-  if (n > in.size() / 4) return Status::Corruption("implausible row count");
-  return GetPlainBody(in, pos, static_cast<ValType>(type_raw), n);
-}
-
-/// v2 column: [type u8][enc u8][count u64][codec body].
-Result<ColumnPtr> GetColumnV2(std::string_view in, size_t* pos) {
   uint8_t type_raw = 0, enc_byte = 0;
   uint64_t n = 0;
   DCY_RETURN_NOT_OK(Get(in, pos, &type_raw));
@@ -539,58 +512,39 @@ uint32_t Crc32(const void* data, size_t n) {
 
 struct FrameEncoder::Plan {
   const Bat* bat = nullptr;
-  bool v2 = false;
-  std::optional<ColPlan> head;  ///< nullopt when the head is dense (or v1)
-  std::optional<ColPlan> tail;  ///< nullopt when v1
+  std::optional<ColPlan> head;  ///< nullopt when the head is dense
+  ColPlan tail;
   size_t total = 0;
   CodecStats stats;
 };
 
-namespace {
-
-void CountColumn(WireCodec codec, CodecStats* stats) {
-  switch (codec) {
-    case WireCodec::kPlain: ++stats->plain_columns; break;
-    case WireCodec::kDict: ++stats->dict_columns; break;
-    case WireCodec::kFor: ++stats->for_columns; break;
-  }
-}
-
-}  // namespace
-
 FrameEncoder::FrameEncoder(const Bat& b) : plan_(std::make_unique<Plan>()) {
   Plan& p = *plan_;
   p.bat = &b;
-  p.v2 = enc::WireCompressionEnabled();
-  size_t total = kPreludeBytes;
-  size_t raw = kPreludeBytes;
-  const size_t col_header = p.v2 ? (1 + 1 + 8) : (1 + 8);
+  const bool compress = enc::WireCompressionEnabled();
+  size_t total = kPreludeBytes + kCrcBytes;
+  size_t raw = total;
+  const auto plan_column = [&](const Column& c) {
+    ColPlan cp = PlanColumn(c, compress);
+    total += kColHeaderBytes + cp.body_size;
+    raw += kColHeaderBytes + cp.plain_size;
+    switch (cp.codec) {
+      case WireCodec::kPlain: ++p.stats.plain_columns; break;
+      case WireCodec::kDict: ++p.stats.dict_columns; break;
+      case WireCodec::kFor: ++p.stats.for_columns; break;
+    }
+    return cp;
+  };
   if (b.HasDenseHead()) {
     total += 8 + 8;  // seqbase + count
     raw += 8 + 8;
   } else {
-    raw += ColumnWireSize(*b.head());
-    if (p.v2) {
-      p.head = PlanColumnV2(*b.head());
-      total += col_header + p.head->body_size;
-      CountColumn(p.head->codec, &p.stats);
-    } else {
-      total += ColumnWireSize(*b.head());
-      ++p.stats.plain_columns;
-    }
+    p.head = plan_column(*b.head());
   }
-  raw += ColumnWireSize(*b.tail());
-  if (p.v2) {
-    p.tail = PlanColumnV2(*b.tail());
-    total += col_header + p.tail->body_size;
-    CountColumn(p.tail->codec, &p.stats);
-  } else {
-    total += ColumnWireSize(*b.tail());
-    ++p.stats.plain_columns;
-  }
-  p.total = total + kCrcBytes;
-  p.stats.raw_bytes = raw + kCrcBytes;
-  p.stats.wire_bytes = p.total;
+  p.tail = plan_column(*b.tail());
+  p.total = total;
+  p.stats.raw_bytes = raw;
+  p.stats.wire_bytes = total;
 }
 
 FrameEncoder::~FrameEncoder() = default;
@@ -604,7 +558,7 @@ void FrameEncoder::SerializeInto(std::string* out) const {
   const Bat& b = *p.bat;
   Cursor cur(out, p.total);
   cur.Put<uint32_t>(kMagic);
-  cur.Put<uint16_t>(p.v2 ? kVersionEncoded : kVersionPlain);
+  cur.Put<uint16_t>(kVersion);
   cur.Put<uint8_t>(PackProps(b.props()));
 
   if (b.HasDenseHead()) {
@@ -613,11 +567,9 @@ void FrameEncoder::SerializeInto(std::string* out) const {
     cur.Put<uint64_t>(b.size());
   } else {
     cur.Put<uint8_t>(static_cast<uint8_t>(HeadKind::kMaterialized));
-    if (p.v2) PutColumnV2(&cur, *p.head);
-    else PutColumn(&cur, *b.head());
+    PutColumn(&cur, *p.head);
   }
-  if (p.v2) PutColumnV2(&cur, *p.tail);
-  else PutColumn(&cur, *b.tail());
+  PutColumn(&cur, p.tail);
   cur.Put<uint32_t>(Crc32(out->data(), cur.pos()));
   DCY_DCHECK(out->size() == p.total);
 }
@@ -651,10 +603,7 @@ Result<BatPtr> Deserialize(std::string_view buffer) {
   DCY_RETURN_NOT_OK(Get(buffer, &pos, &magic));
   if (magic != kMagic) return Status::Corruption("bad BAT magic");
   DCY_RETURN_NOT_OK(Get(buffer, &pos, &version));
-  if (version != kVersionPlain && version != kVersionEncoded) {
-    return Status::Corruption("unsupported BAT version");
-  }
-  const bool v2 = version == kVersionEncoded;
+  if (version != kVersion) return Status::Corruption("unsupported BAT version");
   DCY_RETURN_NOT_OK(Get(buffer, &pos, &props_raw));
   DCY_RETURN_NOT_OK(Get(buffer, &pos, &head_kind));
 
@@ -665,11 +614,9 @@ Result<BatPtr> Deserialize(std::string_view buffer) {
     DCY_RETURN_NOT_OK(Get(buffer, &pos, &n));
     head = MakeDenseOid(seqbase, n);
   } else {
-    DCY_ASSIGN_OR_RETURN(head, v2 ? GetColumnV2(buffer, &pos)
-                                  : GetColumn(buffer, &pos));
+    DCY_ASSIGN_OR_RETURN(head, GetColumn(buffer, &pos));
   }
-  DCY_ASSIGN_OR_RETURN(ColumnPtr tail, v2 ? GetColumnV2(buffer, &pos)
-                                          : GetColumn(buffer, &pos));
+  DCY_ASSIGN_OR_RETURN(ColumnPtr tail, GetColumn(buffer, &pos));
   if (head->size() != tail->size()) return Status::Corruption("head/tail size mismatch");
   return BatPtr(std::make_shared<Bat>(std::move(head), std::move(tail),
                                       UnpackProps(props_raw)));

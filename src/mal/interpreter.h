@@ -15,7 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bat/catalog.h"
+#include "bat/fragment_source.h"
 #include "common/status.h"
 #include "mal/program.h"
 #include "mal/value.h"

@@ -134,9 +134,6 @@ struct ReliableOptions {
   /// (back-pressure of last resort; the channel's byte capacity usually
   /// throttles first).
   size_t max_unacked = 1024;
-  /// Recompute and verify payload CRCs at every hop's receiver. Costs one
-  /// pass over the payload per hop; disable for raw-throughput benches.
-  bool verify_crc = true;
 };
 
 /// \brief Counters for one node's reliability state (both directions).

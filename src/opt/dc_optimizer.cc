@@ -14,14 +14,13 @@ using mal::Arg;
 using mal::Instruction;
 using mal::Program;
 
-Result<Program> DcOptimize(const Program& program, const DcOptimizerOptions& options) {
+Result<Program> DcOptimize(const Program& program) {
   // Pass 1: find the binds, in plan order.
   struct BindInfo {
     std::string bound_var;    // original bind output (becomes the pin output)
     std::string request_var;  // fresh handle variable
     Instruction request;      // rewritten request call
     size_t first_use = SIZE_MAX;
-    size_t last_use = 0;
     bool pinned = false;
   };
   std::vector<BindInfo> binds;
@@ -49,7 +48,7 @@ Result<Program> DcOptimize(const Program& program, const DcOptimizerOptions& opt
   }
   if (binds.empty()) return program;  // nothing to do
 
-  // Pass 2: locate first/last uses of every bound variable.
+  // Pass 2: locate the first use of every bound variable.
   for (size_t i = 0; i < program.instructions.size(); ++i) {
     const Instruction& ins = program.instructions[i];
     if (ins.FullName() == "sql.bind") continue;
@@ -59,12 +58,11 @@ Result<Program> DcOptimize(const Program& program, const DcOptimizerOptions& opt
       if (it == bind_of_var.end()) continue;
       BindInfo& info = binds[it->second];
       info.first_use = std::min(info.first_use, i);
-      info.last_use = std::max(info.last_use, i);
     }
   }
 
   // Pass 3: emit — requests hoisted to the top in bind order, then the body
-  // with pins before first uses (and unpins after last uses if requested).
+  // with pins before first uses, then the unpins in pin order.
   Program out;
   out.name = program.name;
   std::vector<std::string> unpin_order;  // pin order, for the plan-end unpins
@@ -88,33 +86,19 @@ Result<Program> DcOptimize(const Program& program, const DcOptimizerOptions& opt
       }
     }
     out.instructions.push_back(ins);
-    if (options.unpin_placement == DcOptimizerOptions::UnpinPlacement::kAfterLastUse) {
-      for (const BindInfo& info : binds) {
-        if (info.last_use == i && info.pinned) {
-          Instruction unpin;
-          unpin.module = "datacyclotron";
-          unpin.fn = "unpin";
-          unpin.args.push_back(Arg::Var(info.bound_var));
-          out.instructions.push_back(std::move(unpin));
-        }
-      }
-    }
   }
 
-  if (options.unpin_placement == DcOptimizerOptions::UnpinPlacement::kPlanEnd) {
-    for (const std::string& var : unpin_order) {
-      Instruction unpin;
-      unpin.module = "datacyclotron";
-      unpin.fn = "unpin";
-      unpin.args.push_back(Arg::Var(var));
-      out.instructions.push_back(std::move(unpin));
-    }
+  for (const std::string& var : unpin_order) {
+    Instruction unpin;
+    unpin.module = "datacyclotron";
+    unpin.fn = "unpin";
+    unpin.args.push_back(Arg::Var(var));
+    out.instructions.push_back(std::move(unpin));
   }
   return out;
 }
 
-std::string PlanCacheKey(const std::string& text, bool optimize,
-                         const DcOptimizerOptions& options, const char* dialect) {
+std::string PlanCacheKey(const std::string& text, const char* dialect) {
   uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
   auto mix = [&h](uint8_t byte) {
     h ^= byte;
@@ -123,8 +107,6 @@ std::string PlanCacheKey(const std::string& text, bool optimize,
   for (const char* d = dialect; *d != '\0'; ++d) mix(static_cast<uint8_t>(*d));
   mix(0);  // dialect/text separator: ("ab", "c") never collides with ("a", "bc")
   for (char c : text) mix(static_cast<uint8_t>(c));
-  mix(optimize ? 1 : 0);
-  mix(static_cast<uint8_t>(options.unpin_placement));
   char buf[80];
   std::snprintf(buf, sizeof(buf), "%s-%zu-%016llx", dialect, text.size(),
                 static_cast<unsigned long long>(h));

@@ -4,9 +4,9 @@
 //   * a datacyclotron.pin is injected immediately before the first use of
 //     each bound variable (the pin reuses the original variable name, so
 //     the rest of the plan is untouched),
-//   * a datacyclotron.unpin is injected after the last use — by default at
-//     the end of the plan, exactly as the paper's Table 2 does (results may
-//     alias the pinned fragments until exported).
+//   * a datacyclotron.unpin per pinned variable is injected at the end of
+//     the plan, exactly as the paper's Table 2 does (results may alias the
+//     pinned fragments until exported).
 #pragma once
 
 #include "common/status.h"
@@ -14,30 +14,17 @@
 
 namespace dcy::opt {
 
-struct DcOptimizerOptions {
-  /// Where to place unpin() calls:
-  enum class UnpinPlacement {
-    kPlanEnd,        ///< before `end`, as in the paper's Table 2 (default)
-    kAfterLastUse,   ///< immediately after the last instruction using the BAT
-  };
-  UnpinPlacement unpin_placement = UnpinPlacement::kPlanEnd;
-};
-
 /// Rewrites `program`; plans without sql.bind calls are returned unchanged.
-Result<mal::Program> DcOptimize(const mal::Program& program,
-                                const DcOptimizerOptions& options = {});
+Result<mal::Program> DcOptimize(const mal::Program& program);
 
 /// \brief Stable cache key for a prepared plan: identifies the
-/// (text, dialect, optimize, optimizer-options) tuple that fully determines
-/// the compiled program, so runtimes can reuse one parse + DcOptimize across
-/// executions and sessions. Conservative: texts differing only in
-/// whitespace/comments hash to different keys (a cache miss, never a wrong
-/// plan). 64-bit FNV-1a plus the input length. `dialect` names the source
-/// language ("mal", "sql", ...) and is mixed into both the hash and the
-/// key prefix, so identical text submitted in two languages can never share
-/// one cache slot.
-std::string PlanCacheKey(const std::string& text, bool optimize,
-                         const DcOptimizerOptions& options = {},
-                         const char* dialect = "mal");
+/// (text, dialect) pair that fully determines the compiled program, so
+/// runtimes can reuse one parse + DcOptimize across executions and sessions.
+/// Conservative: texts differing only in whitespace/comments hash to
+/// different keys (a cache miss, never a wrong plan). 64-bit FNV-1a plus the
+/// input length. `dialect` names the source language ("mal", "sql", ...) and
+/// is mixed into both the hash and the key prefix, so identical text
+/// submitted in two languages can never share one cache slot.
+std::string PlanCacheKey(const std::string& text, const char* dialect = "mal");
 
 }  // namespace dcy::opt

@@ -89,6 +89,20 @@ uint32_t DeltaHeaderCrc(const DeltaFrame& df) {
   return bat::Crc32(buf, off);
 }
 
+/// Verifies a data-channel frame at its receiver: the payload CRC, combined
+/// with the envelope and the frame's per-hop header CRC, must reproduce what
+/// the sender wrapped. Always on — one pass over the payload per hop.
+bool PayloadCrcOk(const rdma::Message& m, const net::FrameHeader& frame,
+                  uint32_t header_crc) {
+  return m.payload != nullptr &&
+         (header_crc ^ bat::Crc32(m.payload->data(), m.payload->size()) ^
+          net::EnvelopeCrc(frame)) == frame.payload_crc;
+}
+
+/// Longest a node's service thread sleeps when idle: its reaction latency
+/// to work posted from other threads.
+constexpr auto kIdleWait = std::chrono::microseconds(200);
+
 SimTime SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -379,7 +393,6 @@ class RingCluster::Node final : public core::DcEnv {
     decoded_.clear();
     decoded_in_store_.clear();
     decode_rejected_.clear();
-    delta_cache_.clear();
     current_payload_ = nullptr;
     current_payload_crc_ = 0;
     data_in_->Reopen();
@@ -709,14 +722,6 @@ class RingCluster::Node final : public core::DcEnv {
     });
   }
 
-  /// Delta copies this node holds from ring circulation (service-thread
-  /// state; call via PostSync).
-  size_t cached_delta_count() const {
-    size_t n = 0;
-    for (const auto& [_, deltas] : delta_cache_) n += deltas.size();
-    return n;
-  }
-
  private:
   void ResolveWaiter(core::QueryId query, core::BatId bat, Result<bat::BatPtr> value) {
     std::promise<Result<bat::BatPtr>> promise;
@@ -824,12 +829,8 @@ class RingCluster::Node final : public core::DcEnv {
     const auto df = m.meta.As<net::DataFrame>();
     if (!ValidFrame(df.frame, &data_rx_)) return;
     const uint32_t header_crc = HeaderCrc(df.bat);
-    bool crc_ok = m.payload != nullptr;
-    if (crc_ok && cluster_->options_.resilience.link.verify_crc) {
-      crc_ok = (header_crc ^ bat::Crc32(m.payload->data(), m.payload->size()) ^
-                net::EnvelopeCrc(df.frame)) == df.frame.payload_crc;
-    }
-    const auto outcome = data_rx_.OnFrame(df.frame, crc_ok);
+    const auto outcome =
+        data_rx_.OnFrame(df.frame, PayloadCrcOk(m, df.frame, header_crc));
     if (outcome.send_nack) {
       SendNack(df.frame.sender, net::kChData, outcome.nack_epoch, outcome.nack_seq);
     }
@@ -843,9 +844,7 @@ class RingCluster::Node final : public core::DcEnv {
         // the circulating frame too, so hot-set accounting has an owner.
         header.owner = id_;
         ++hop_.frames_adopted;
-      } else if (header.hops > (cluster_->options_.resilience.orphan_hop_limit != 0
-                                    ? cluster_->options_.resilience.orphan_hop_limit
-                                    : 2 * cluster_->options_.num_nodes + 4)) {
+      } else if (header.hops > OrphanHopBound()) {
         // An orphan with a dead owner and no heir: nobody will retire it,
         // so age it out instead of letting it circle forever.
         ++hop_.orphan_frames_dropped;
@@ -911,12 +910,8 @@ class RingCluster::Node final : public core::DcEnv {
     const auto df = m.meta.As<DeltaFrame>();
     if (!ValidFrame(df.frame, &data_rx_)) return;
     const uint32_t header_crc = DeltaHeaderCrc(df);
-    bool crc_ok = m.payload != nullptr;
-    if (crc_ok && cluster_->options_.resilience.link.verify_crc) {
-      crc_ok = (header_crc ^ bat::Crc32(m.payload->data(), m.payload->size()) ^
-                net::EnvelopeCrc(df.frame)) == df.frame.payload_crc;
-    }
-    const auto outcome = data_rx_.OnFrame(df.frame, crc_ok);
+    const auto outcome =
+        data_rx_.OnFrame(df.frame, PayloadCrcOk(m, df.frame, header_crc));
     if (outcome.send_nack) {
       SendNack(df.frame.sender, net::kChData, outcome.nack_epoch, outcome.nack_seq);
     }
@@ -928,19 +923,16 @@ class RingCluster::Node final : public core::DcEnv {
     write::WriteLog& log = cluster_->write_log_;
     // Stale: the compactor folded this version into a base already.
     if (df.version <= log.BaseVersionOf(df.fragment)) return;
-    auto decoded = write::DeserializeDelta(*m.payload);
-    if (!decoded.ok()) {
+    if (!write::DeserializeDelta(*m.payload).ok()) {
       // Hop CRC passed but the delta encoding itself is bad (corrupted at
-      // the source or a disabled-CRC run): count it, never apply garbage.
+      // the source): count it, never forward garbage.
       ++hop_.decode_failures;
       log.NoteDeltaDecodeFailure();
       return;
     }
-    delta_cache_[df.fragment].push_back(std::move(decoded).value());
-    // Forward until every node held a copy. Termination is reaching the
-    // origin (above); the hop bound only reaps frames whose origin died.
-    const uint32_t hop_bound = 2 * cluster_->options_.num_nodes + 4;
-    if (df.hops + 1 >= hop_bound) {
+    // Forward until the frame has passed every node. Termination is reaching
+    // the origin (above); the hop bound only reaps frames whose origin died.
+    if (df.hops + 1 >= OrphanHopBound()) {
       ++hop_.orphan_frames_dropped;
       return;
     }
@@ -951,20 +943,9 @@ class RingCluster::Node final : public core::DcEnv {
     log.NoteDeltaForwarded(m.payload->size());
   }
 
-  /// Drops cached delta copies the compactor has folded into new bases
-  /// (their versions are <= the fragment's base version). Maintenance tick.
-  void TrimDeltaCache() {
-    for (auto it = delta_cache_.begin(); it != delta_cache_.end();) {
-      const uint64_t base = cluster_->write_log_.BaseVersionOf(it->first);
-      auto& deltas = it->second;
-      deltas.erase(std::remove_if(deltas.begin(), deltas.end(),
-                                  [base](const write::DeltaPtr& d) {
-                                    return d->version <= base;
-                                  }),
-                   deltas.end());
-      it = deltas.empty() ? delta_cache_.erase(it) : std::next(it);
-    }
-  }
+  /// Hops after which a frame whose owner (BAT) or origin (delta) died is
+  /// dropped as an orphan: one full lap plus slack for in-flight duplicates.
+  uint32_t OrphanHopBound() const { return 2 * cluster_->options_.num_nodes + 4; }
 
   /// Sends one coalesced cumulative ACK per distinct sender in a drained
   /// batch — O(batch) frames cost O(senders) ACK messages.
@@ -1110,7 +1091,6 @@ class RingCluster::Node final : public core::DcEnv {
       if (now >= next_maintenance) {
         dc_->OnMaintenanceTimer();
         SweepAdmissionQueue();
-        TrimDeltaCache();
         next_maintenance = now + node_opts.maintenance_period;
         did_work = true;
       }
@@ -1122,7 +1102,7 @@ class RingCluster::Node final : public core::DcEnv {
 
       if (!did_work) {
         std::unique_lock<std::mutex> lock(mailbox_mu_);
-        mailbox_cv_.wait_for(lock, std::chrono::nanoseconds(res.idle_wait));
+        mailbox_cv_.wait_for(lock, kIdleWait);
       }
     }
   }
@@ -1233,9 +1213,6 @@ class RingCluster::Node final : public core::DcEnv {
   std::unordered_set<core::BatId> decoded_in_store_;
   /// Deliveries the store refused under budget; consumed by DeliverToQuery.
   std::unordered_map<core::BatId, Status> decode_rejected_;
-  /// Delta copies received from ring circulation, per fragment (service
-  /// thread only); trimmed once the compactor folds past their versions.
-  std::unordered_map<core::BatId, std::vector<write::DeltaPtr>> delta_cache_;
 
   std::mutex waiters_mu_;
   std::map<std::pair<core::QueryId, core::BatId>, std::promise<Result<bat::BatPtr>>>
@@ -2050,15 +2027,6 @@ Result<Session> RingCluster::OpenSession(core::NodeId node) {
   return Session(this, node);
 }
 
-Result<PreparedQueryPtr> RingCluster::Prepare(const std::string& mal_text, bool optimize,
-                                              bool use_cache) {
-  PrepareOptions options;
-  options.language = Language::kMAL;
-  options.optimize = optimize;
-  options.use_cache = use_cache;
-  return Prepare(mal_text, options);
-}
-
 Result<PreparedQueryPtr> RingCluster::Prepare(const std::string& text,
                                               const PrepareOptions& options) {
   Language language = options.language;
@@ -2068,7 +2036,7 @@ Result<PreparedQueryPtr> RingCluster::Prepare(const std::string& text,
   // The dialect is part of the key: the same text prepared as SQL and as MAL
   // compiles to different programs, so the two must occupy distinct slots.
   const char* dialect = language == Language::kSQL ? "sql" : "mal";
-  const std::string key = opt::PlanCacheKey(text, options.optimize, {}, dialect);
+  const std::string key = opt::PlanCacheKey(text, dialect);
   bool use_cache = options.use_cache;
   if (use_cache) {
     std::lock_guard<std::mutex> lock(plan_cache_mu_);
@@ -2088,12 +2056,8 @@ Result<PreparedQueryPtr> RingCluster::Prepare(const std::string& text,
           ? sql::Compile(text, SqlSchema(), options.parse_error)
           : mal::ParseProgram(text, options.parse_error);
   if (!compiled.ok()) return compiled.status();
-  mal::Program program = std::move(compiled).value();
-  if (options.optimize) {
-    DCY_ASSIGN_OR_RETURN(program, opt::DcOptimize(program));
-  }
-  auto prepared =
-      std::make_shared<const PreparedQuery>(text, key, std::move(program), options.optimize);
+  DCY_ASSIGN_OR_RETURN(mal::Program program, opt::DcOptimize(*compiled));
+  auto prepared = std::make_shared<const PreparedQuery>(text, key, std::move(program));
   if (use_cache) {
     std::lock_guard<std::mutex> lock(plan_cache_mu_);
     ++plan_cache_stats_.misses;  // one parse + DcOptimize actually ran
@@ -2158,8 +2122,9 @@ Result<QueryResult> RingCluster::RunQuery(Node* node, const PreparedQuery& plan,
   mal::ExportSink exported;
   SessionHooks hooks(this, node, state->id, &state->cancel, snapshot);
   QueryWriteHooks write_hooks(this, node, snapshot);
+  // No ctx.catalog: a DC-optimized plan has no sql.bind left, so every read
+  // is a pin resolved through the write log (SessionHooks::Pin).
   mal::Context ctx;
-  ctx.catalog = &node->store();
   ctx.dc = &hooks;
   ctx.writer = &write_hooks;
   ctx.out = nullptr;  // results are captured typed, not printed
@@ -2185,24 +2150,6 @@ Result<QueryResult> RingCluster::RunQuery(Node* node, const PreparedQuery& plan,
   }
   qr.result = ResultSet::Build(table, std::move(result).value());
   return qr;
-}
-
-Result<QueryOutcome> RingCluster::ExecuteMal(core::NodeId node_id,
-                                             const std::string& mal_text, bool optimize) {
-  // Compatibility wrapper: one blocking trip through the session path. The
-  // shared plan cache still amortizes the parse + optimize across calls.
-  DCY_ASSIGN_OR_RETURN(PreparedQueryPtr prepared, Prepare(mal_text, optimize));
-  DCY_ASSIGN_OR_RETURN(QueryHandle handle, Submit(node_id, prepared));
-  auto result = handle.Wait();
-  if (!result.ok()) return result.status();
-
-  QueryOutcome outcome;
-  outcome.query_id = result->query_id;
-  outcome.wall_seconds = result->timing.exec_seconds;
-  outcome.pin_blocked_seconds = result->timing.pin_blocked_seconds;
-  outcome.printed = result->result.ToText();
-  outcome.result = result->result.scalar();
-  return outcome;
 }
 
 core::DcNodeMetrics RingCluster::NodeMetrics(core::NodeId node) const {

@@ -1,7 +1,9 @@
 // The live Data Cyclotron runtime: a ring of node threads moving real BAT
 // payloads over the RDMA-emulating channels, running the *same* protocol
 // state machine (core::DcNode) that the simulator validates, and executing
-// real MAL plans rewritten by the DcOptimizer.
+// real MAL plans rewritten by the DcOptimizer. Every plan is rewritten, so a
+// query reads each BAT one way: pin on the ring, then resolve the pinned
+// fragment through the write log into the query's snapshot view.
 //
 // Threading model: each node runs one service thread that owns its DcNode
 // (single-writer, as in the simulator). Queries enter through the session
@@ -26,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bat/catalog.h"
 #include "common/status.h"
 #include "core/admission.h"
 #include "core/dc_node.h"
@@ -59,24 +60,6 @@ struct ResilienceOptions {
   bool auto_rehome = true;
   /// Seed for the per-link backoff jitter streams.
   uint64_t seed = 0xDC0FA17u;
-  /// Frames whose owner died keep circulating until adopted; after this many
-  /// hops they are dropped as orphans. 0 = the default bound of
-  /// 2 * num_nodes + 4 (one full lap plus slack for in-flight duplicates).
-  uint32_t orphan_hop_limit = 0;
-  /// Longest a node's service thread sleeps when idle (reaction latency to
-  /// work posted from other threads).
-  SimTime idle_wait = FromMicros(200);
-};
-
-/// \brief Legacy outcome of one blocking ExecuteMal call. New code should
-/// use the session API and its typed QueryResult instead; this struct
-/// survives for the compatibility wrapper.
-struct QueryOutcome {
-  std::string printed;        ///< exported result rendered as text
-  mal::Datum result;          ///< last assigned variable
-  core::QueryId query_id = 0;
-  double wall_seconds = 0.0;  ///< execution wall time (steady_clock)
-  double pin_blocked_seconds = 0.0;  ///< summed blocked-pin wait
 };
 
 /// \brief A complete in-process ring.
@@ -165,23 +148,14 @@ class RingCluster {
   /// across sessions). SQL is compiled against the schema of the BATs
   /// registered so far via LoadBat; `options.language` defaults to
   /// auto-detection. Pass `use_cache = false` to force a fresh compilation
-  /// (benchmarking).
+  /// (benchmarking). Every plan is DC-optimized: its sql.bind calls become
+  /// request/pin/unpin, so all reads go through the ring and the write log.
   Result<PreparedQueryPtr> Prepare(const std::string& text,
-                                   const PrepareOptions& options);
-  /// Back-compat shim: MAL-only, positional optimize/use_cache flags.
-  Result<PreparedQueryPtr> Prepare(const std::string& mal_text, bool optimize = true,
-                                   bool use_cache = true);
+                                   const PrepareOptions& options = {});
 
   /// Asynchronous submission against `node` (see Session::Submit).
   Result<QueryHandle> Submit(core::NodeId node, const PreparedQueryPtr& prepared,
                              const SubmitOptions& options = {});
-
-  /// \deprecated Blocking string-in/string-out compatibility wrapper over
-  /// Prepare + Submit + Wait. Parses/optimizes through the shared plan cache
-  /// and runs under the node's admission control; prefer the session API
-  /// (OpenSession / Prepare / Submit) for new code.
-  Result<QueryOutcome> ExecuteMal(core::NodeId node, const std::string& mal_text,
-                                  bool optimize = true);
 
   /// Directory lookup: the BAT id registered for "schema.table.column".
   Result<core::BatId> FindFragment(const std::string& name) const;
@@ -272,10 +246,10 @@ class RingCluster {
   ResilienceMetrics Resilience() const;
 
   /// \brief Wire-compression accounting summed over all nodes: what the
-  /// ring actually shipped vs the uncompressed v1 frames it would have.
+  /// ring actually shipped vs the all-pass-through frames it would have.
   struct BandwidthMetrics {
     uint64_t frames_encoded = 0;  ///< BAT frames serialized for the ring
-    uint64_t raw_bytes = 0;       ///< v1-equivalent (uncompressed) frame bytes
+    uint64_t raw_bytes = 0;       ///< same frames with every column pass-through
     uint64_t wire_bytes = 0;      ///< frame bytes actually produced
     uint64_t hops = 0;            ///< payload-bearing data-frame sends
     uint64_t hop_bytes = 0;       ///< payload bytes summed over those sends
@@ -388,8 +362,8 @@ class RingCluster {
   PlanCacheStats plan_cache_stats_;
 
   // ---- the write subsystem --------------------------------------------------
-  /// Cluster-level commit log (thread-safe on its own mutex). Nodes hold
-  /// only circulating delta copies; the log is the correctness anchor.
+  /// Cluster-level commit log (thread-safe on its own mutex). Nodes only
+  /// forward circulating delta frames; every read resolves its deltas here.
   write::WriteLog write_log_;
   /// Background compactors, one per node, owned by the cluster (never by
   /// the node threads: CrashNode must not join them). Started in Start(),

@@ -45,7 +45,7 @@ const bat::ColumnPtr& ResultSet::values(size_t c) const { return bats_[c]->tail(
 
 std::string ResultSet::ToText() const {
   // Byte-identical to the rendering sql.exportResult streams into
-  // Context::out — the legacy QueryOutcome::printed contract.
+  // Context::out.
   std::string out;
   if (descs_.empty()) return out;
   for (size_t c = 0; c < descs_.size(); ++c) {
@@ -119,13 +119,6 @@ void QueryHandle::Cancel() {
 
 Result<PreparedQueryPtr> Session::Prepare(const std::string& text,
                                           const PrepareOptions& options) {
-  return cluster_->Prepare(text, options);
-}
-
-Result<PreparedQueryPtr> Session::Prepare(const std::string& text, bool optimize) {
-  PrepareOptions options;
-  options.language = Language::kMAL;
-  options.optimize = optimize;
   return cluster_->Prepare(text, options);
 }
 

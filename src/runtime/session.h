@@ -9,8 +9,8 @@
 //               queue and the caller gets a QueryHandle with Wait()/
 //               TryWait(), a deadline, and cooperative Cancel() that
 //               unblocks a session stuck in datacyclotron.pin.
-//   ResultSet — named, typed columns (span/row accessors) instead of the
-//               printed-string results of the legacy ExecuteMal entry point.
+//   ResultSet — named, typed columns (span/row accessors) plus the plan's
+//               final scalar, and a tab-separated text rendering.
 //
 // Lifetimes: Session, PreparedQuery and QueryHandle must not outlive the
 // RingCluster that produced them.
@@ -53,8 +53,6 @@ enum class Language {
 /// which prepare internally).
 struct PrepareOptions {
   Language language = Language::kAuto;
-  /// Run the DcOptimizer rewrite (sql.bind -> request/pin/unpin).
-  bool optimize = true;
   /// Consult/populate the cluster's shared plan cache.
   bool use_cache = true;
   /// Optional out-param: on a parse or semantic error in either language,
@@ -111,7 +109,7 @@ class ResultSet {
   const mal::Datum& scalar() const { return scalar_; }
 
   /// Tab-separated rendering ("table.name" header + rows), byte-identical to
-  /// what sql.exportResult used to print into QueryOutcome::printed.
+  /// what sql.exportResult prints into mal::Context::out.
   std::string ToText() const;
 
  private:
@@ -152,22 +150,17 @@ struct QueryResult {
 /// RingCluster::Prepare (cached) or Session::Prepare.
 class PreparedQuery {
  public:
-  PreparedQuery(std::string text, std::string key, mal::Program program, bool optimized)
-      : text_(std::move(text)),
-        key_(std::move(key)),
-        program_(std::move(program)),
-        optimized_(optimized) {}
+  PreparedQuery(std::string text, std::string key, mal::Program program)
+      : text_(std::move(text)), key_(std::move(key)), program_(std::move(program)) {}
 
-  const std::string& text() const { return text_; }        ///< source MAL
+  const std::string& text() const { return text_; }        ///< source text
   const std::string& cache_key() const { return key_; }    ///< opt::PlanCacheKey
-  const mal::Program& program() const { return program_; }  ///< compiled plan
-  bool optimized() const { return optimized_; }
+  const mal::Program& program() const { return program_; }  ///< DC-optimized plan
 
  private:
   std::string text_;
   std::string key_;
   mal::Program program_;
-  bool optimized_;
 };
 using PreparedQueryPtr = std::shared_ptr<const PreparedQuery>;
 
@@ -272,8 +265,6 @@ class Session {
   /// text may be MAL or SQL; `options.language` selects (default: detect).
   Result<PreparedQueryPtr> Prepare(const std::string& text,
                                    const PrepareOptions& options = {});
-  /// Back-compat shim for the MAL-only signature of the original API.
-  Result<PreparedQueryPtr> Prepare(const std::string& text, bool optimize);
 
   /// Asynchronous submission into this node's admission queue. Fails with
   /// ResourceExhausted when the queue is full (backpressure) and

@@ -1,9 +1,10 @@
-// Tests of the wire-compression layer (bat/encoding.h + the v2 frame format
-// in bat/serialize.cc): bit-pack round trips at every width, dictionary and
-// FOR codec round trips across types and shapes, v1 backward compatibility,
-// SIMD-vs-scalar differential checks of every encoding-aware kernel, codec
-// accounting, and the same byte-flip / truncation decode fuzz the v1 format
-// passes (every mutation must fail typed as Corruption, never crash).
+// Tests of the wire-compression layer (bat/encoding.h + the frame format in
+// bat/serialize.cc): bit-pack round trips at every width, dictionary and
+// FOR codec round trips across types and shapes, compression-off
+// pass-through frames, SIMD-vs-scalar differential checks of every
+// encoding-aware kernel, codec accounting, and the same byte-flip /
+// truncation decode fuzz plain frames pass (every mutation must fail typed
+// as Corruption, never crash).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -293,31 +294,62 @@ TEST(CodecRoundTripTest, DenseHeadsAndAllTypesRoundTrip) {
   }
 }
 
-TEST(CodecRoundTripTest, V1FramesStillDecodeAndDictColumnsDowngrade) {
-  // A frame produced with compression off is the v1 layout; it must decode
-  // with compression on (receivers never assume the sender's setting).
-  auto b = LowCardStrings(200, 5);
-  std::string v1_frame;
+TEST(CodecRoundTripTest, CompressionOffIsPassThroughAndVersion1IsRejected) {
+  // Compression off: the one frame layout (version 2) with every column
+  // pass-through, even where a codec would apply.
+  auto strings = LowCardStrings(200, 5);
+  auto ints = SortedInts(ValType::kLng, 200, 6);
+  ASSERT_TRUE(ints->tail()->IsSorted());  // memoized: FOR would trigger
+  std::string plain_frame;
   {
     enc::ScopedWireCompression off(false);
-    v1_frame = Serialize(*b);
+    for (const BatPtr& b : {strings, ints}) {
+      const FrameEncoder fe(*b);
+      EXPECT_EQ(fe.stats().plain_columns, 1u);
+      EXPECT_EQ(fe.stats().dict_columns + fe.stats().for_columns, 0u);
+      EXPECT_EQ(fe.stats().wire_bytes, fe.stats().raw_bytes);  // encoded/raw = 1
+      std::string frame;
+      fe.SerializeInto(&frame);
+      uint16_t version = 0;
+      std::memcpy(&version, frame.data() + 4, sizeof(version));
+      EXPECT_EQ(version, 2u);
+      auto restored = Deserialize(frame);
+      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+      EXPECT_EQ((*restored)->tail()->kind(),
+                b == strings ? ColumnKind::kStr : ColumnKind::kFixed);
+      ExpectSameRows(*restored, b, "pass-through decode");
+      if (b == strings) plain_frame = frame;
+    }
   }
-  enc::ScopedWireCompression on(true);
-  auto restored = Deserialize(v1_frame);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ((*restored)->tail()->kind(), ColumnKind::kStr);
-  ExpectSameRows(*restored, b, "v1 decode");
-  // And an in-memory dictionary column serialized with compression OFF must
-  // re-materialize the plain v1 string body (old receivers know no codecs).
-  auto dict_bat = Deserialize(Serialize(*b));
+  // A dictionary column decoded off a compressed frame re-materializes the
+  // plain string body: byte-identical to its plain source's frame.
+  auto dict_bat = Deserialize(Serialize(*strings));
   ASSERT_TRUE(dict_bat.ok());
   ASSERT_EQ((*dict_bat)->tail()->kind(), ColumnKind::kDict);
-  std::string downgraded;
   {
     enc::ScopedWireCompression off(false);
-    downgraded = Serialize(**dict_bat);
+    EXPECT_EQ(Serialize(**dict_bat), plain_frame);
   }
-  EXPECT_EQ(downgraded, v1_frame);
+  // The retired version-1 layout (no per-column encoding byte) is typed
+  // Corruption even under a valid CRC.
+  std::string v1;
+  const auto put = [&v1](const auto& v) {
+    v1.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(uint32_t{0xDC10B47u});  // magic
+  put(uint16_t{1});           // version
+  put(uint8_t{0});            // properties
+  put(uint8_t{0});            // dense head: seqbase, count
+  put(uint64_t{0});
+  put(uint64_t{3});
+  put(static_cast<uint8_t>(ValType::kInt));  // tail: type, count, values
+  put(uint64_t{3});
+  for (int32_t v : {7, 8, 9}) put(v);
+  put(Crc32(v1.data(), v1.size()));
+  auto decoded = Deserialize(v1);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+      << decoded.status().ToString();
 }
 
 TEST(CodecRoundTripTest, EncoderPlansOnceForSizeAndBytes) {

@@ -1,10 +1,11 @@
 // Tests for the MAL layer: parser, dataflow dependency builder, interpreter
-// (sequential + parallel), the builtin operators, and the catalog.
+// (sequential + parallel), and the builtin operators over an in-memory
+// fragment source.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
-#include "bat/catalog.h"
 #include "bat/operators.h"
 #include "mal/interpreter.h"
 #include "mal/program.h"
@@ -112,18 +113,31 @@ X3 := a.h(X2);
   EXPECT_EQ(deps[3], (std::vector<size_t>{2}));
 }
 
+/// The fragments sql.bind reads, addressed by qualified name.
+class InMemorySource : public bat::FragmentSource {
+ public:
+  std::map<std::string, bat::BatPtr> bats;
+
+  Result<bat::BatPtr> GetByName(const std::string& name) override {
+    auto it = bats.find(name);
+    if (it == bats.end()) return Status::NotFound("BAT " + name);
+    return it->second;
+  }
+  Result<bat::BatPtr> GetById(core::BatId id) override {
+    return Status::NotFound("BAT id " + std::to_string(id));
+  }
+};
+
 struct EngineFixture : public ::testing::Test {
-  EngineFixture() : catalog("") {
+  EngineFixture() {
     // sys.t(id int): ids 1..4 ; sys.c(t_id int): references 2,3,3,5.
-    DCY_CHECK_OK(catalog.Register("sys.t.id", 1,
-                                  bat::Bat::MakeColumn(bat::MakeIntColumn({1, 2, 3, 4}))));
-    DCY_CHECK_OK(catalog.Register(
-        "sys.c.t_id", 2, bat::Bat::MakeColumn(bat::MakeIntColumn({2, 3, 3, 5}))));
-    ctx.catalog = &catalog;
+    source.bats["sys.t.id"] = bat::Bat::MakeColumn(bat::MakeIntColumn({1, 2, 3, 4}));
+    source.bats["sys.c.t_id"] = bat::Bat::MakeColumn(bat::MakeIntColumn({2, 3, 3, 5}));
+    ctx.catalog = &source;
     ctx.out = &out;
   }
 
-  bat::BatCatalog catalog;
+  InMemorySource source;
   std::ostringstream out;
   Context ctx;
 };
@@ -306,29 +320,6 @@ TEST_F(EngineFixture, DcCallsWithoutRingFail) {
   auto prog = ParseProgram(R"(X1 := datacyclotron.request("sys","t","id",0);)");
   Interpreter interp(&Registry::Global(), ctx);  // ctx.dc == nullptr
   EXPECT_EQ(interp.Run(*prog).status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(CatalogTest, SpillAndReload) {
-  const std::string dir = ::testing::TempDir() + "/dcy_spill";
-  bat::BatCatalog catalog(dir);
-  auto b = bat::Bat::MakeColumn(bat::MakeIntColumn({7, 8, 9}));
-  ASSERT_TRUE(catalog.Register("s.t.c", 5, b).ok());
-  EXPECT_GT(catalog.resident_bytes(), 0u);
-
-  ASSERT_TRUE(catalog.Spill(5).ok());
-  EXPECT_TRUE(catalog.IsSpilled(5));
-  EXPECT_EQ(catalog.resident_bytes(), 0u);
-
-  auto back = catalog.GetById(5);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_FALSE(catalog.IsSpilled(5));
-  EXPECT_EQ((*back)->tail()->GetInt64(2), 9);
-
-  EXPECT_EQ(catalog.IdOf("s.t.c").value(), 5u);
-  EXPECT_TRUE(catalog.GetByName("s.t.c").ok());
-  EXPECT_TRUE(catalog.Register("s.t.c", 6, b).code() == StatusCode::kAlreadyExists);
-  ASSERT_TRUE(catalog.Drop(5).ok());
-  EXPECT_TRUE(catalog.GetById(5).status().IsNotFound());
 }
 
 }  // namespace

@@ -81,31 +81,6 @@ X3 := algebra.join(X2, X1);
   EXPECT_EQ(out.instructions[4].args[0].var, "X1");
 }
 
-TEST(DcOptimizerTest, AfterLastUsePlacement) {
-  auto input = *ParseProgram(R"(
-X1 := sql.bind("s","t","a",0);
-X2 := sql.bind("s","t","b",0);
-X3 := bat.reverse(X1);
-X4 := algebra.join(X3, X2);
-X5 := aggr.count(X4);
-)");
-  DcOptimizerOptions opts;
-  opts.unpin_placement = DcOptimizerOptions::UnpinPlacement::kAfterLastUse;
-  auto out = *DcOptimize(input, opts);
-  // X1's last use is the reverse; its unpin must come right after it and
-  // before the join.
-  std::vector<std::string> calls;
-  for (const auto& ins : out.instructions) calls.push_back(ins.FullName());
-  const std::vector<std::string> expected = {
-      "datacyclotron.request", "datacyclotron.request",
-      "datacyclotron.pin",     "bat.reverse",
-      "datacyclotron.unpin",  // X1 released before the join runs
-      "datacyclotron.pin",     "algebra.join",
-      "datacyclotron.unpin",   "aggr.count",
-  };
-  EXPECT_EQ(calls, expected) << out.ToString();
-}
-
 TEST(DcOptimizerTest, PlanWithoutBindsUnchanged) {
   auto input = *ParseProgram("X1 := io.stdout();");
   auto out = *DcOptimize(input);
@@ -164,13 +139,9 @@ TEST(DcOptimizerTest, IdempotentOnRewrittenPlans) {
 TEST(PlanCacheKeyTest, StableAndDiscriminating) {
   const std::string text = kTable1;
   // Deterministic: same inputs, same key.
-  EXPECT_EQ(PlanCacheKey(text, true), PlanCacheKey(text, true));
-  // The optimize flag, the optimizer options, and the text all discriminate.
-  EXPECT_NE(PlanCacheKey(text, true), PlanCacheKey(text, false));
-  DcOptimizerOptions after_last_use;
-  after_last_use.unpin_placement = DcOptimizerOptions::UnpinPlacement::kAfterLastUse;
-  EXPECT_NE(PlanCacheKey(text, true), PlanCacheKey(text, true, after_last_use));
-  EXPECT_NE(PlanCacheKey(text, true), PlanCacheKey(text + " ", true));
+  EXPECT_EQ(PlanCacheKey(text), PlanCacheKey(text));
+  // The text discriminates (the dialect too: sql_test.cc).
+  EXPECT_NE(PlanCacheKey(text), PlanCacheKey(text + " "));
 }
 
 }  // namespace

@@ -2,13 +2,13 @@
 // by the DcOptimizer, real BAT payloads circulating over the RDMA-emulating
 // channels, results identical to single-node execution.
 //
-// These tests intentionally keep driving the deprecated ExecuteMal wrapper:
-// it must stay behaviour-identical while routing through the session path
-// (plan cache + admission queue). The session API itself is covered in
-// session_test.cc.
+// Queries enter through Session::Execute and come back as typed ResultSets;
+// the session API itself (prepare, async submit, cancel, admission) is
+// covered in session_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 
 #include "bat/operators.h"
@@ -32,6 +32,11 @@ function user.s1_2():void;
     X22 := io.stdout();
     sql.exportResult(X22,X16);
 end s1_2;
+)";
+
+constexpr const char* kCountPlan = R"(
+X1 := sql.bind("sys","t","id",0);
+X2 := aggr.count(X1);
 )";
 
 RingCluster::Options FastOptions(uint32_t nodes = 3) {
@@ -61,12 +66,21 @@ class RuntimeRing : public ::testing::Test {
     cluster->Start();
   }
 
-  void ExpectTable1Result(const QueryOutcome& outcome) {
-    EXPECT_NE(outcome.printed.find("sys.c.t_id"), std::string::npos);
-    // Rows {2, 3, 3} in some order.
-    EXPECT_NE(outcome.printed.find("2"), std::string::npos);
-    EXPECT_NE(outcome.printed.find("3"), std::string::npos);
-    EXPECT_EQ(outcome.printed.find("5"), std::string::npos);
+  /// One blocking query from a session on `node`.
+  Result<QueryResult> Run(core::NodeId node, const std::string& text) {
+    DCY_ASSIGN_OR_RETURN(Session session, cluster->OpenSession(node));
+    return session.Execute(text);
+  }
+
+  static void ExpectTable1Result(const QueryResult& qr) {
+    const ResultSet& rs = qr.result;
+    ASSERT_EQ(rs.num_columns(), 1u);
+    EXPECT_EQ(rs.column(0).table, "sys.c");
+    EXPECT_EQ(rs.column(0).name, "t_id");
+    // select c.t_id from t, c where c.t_id = t.id -> {2, 3, 3}.
+    std::multiset<int64_t> got;
+    for (size_t r = 0; r < rs.num_rows(); ++r) got.insert(rs.Int64At(r, 0));
+    EXPECT_EQ(got, (std::multiset<int64_t>{2, 3, 3}));
   }
 
   std::unique_ptr<RingCluster> cluster;
@@ -74,9 +88,9 @@ class RuntimeRing : public ::testing::Test {
 
 TEST_F(RuntimeRing, ExecutesPaperPlanOverTheRing) {
   SetUpCluster(FastOptions());
-  auto outcome = cluster->ExecuteMal(0, kTable1Plan, /*optimize=*/true);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  ExpectTable1Result(*outcome);
+  auto result = Run(0, kTable1Plan);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectTable1Result(*result);
 
   // Both fragments were remote: the ring must actually have moved data.
   EXPECT_GT(cluster->TotalDataBytesMoved(), 0u);
@@ -88,31 +102,38 @@ TEST_F(RuntimeRing, ExecutesPaperPlanOverTheRing) {
 TEST_F(RuntimeRing, LocalExecutionOnOwnerNeedsNoRing) {
   SetUpCluster(FastOptions());
   // Node 1 owns sys.t.id; a plan touching only that BAT pins locally.
-  auto outcome = cluster->ExecuteMal(1, R"(
+  auto result = Run(1, R"(
 X1 := sql.bind("sys","t","id",0);
 X2 := aggr.sum(X1);
 )");
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(std::get<int64_t>(outcome->result), 10);  // 1+2+3+4
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(std::get<int64_t>(result->result.scalar()), 10);  // 1+2+3+4
   EXPECT_EQ(cluster->NodeMetrics(1).pins_blocked, 0u);
 }
 
-TEST_F(RuntimeRing, UnoptimizedPlanOnOwnerUsesSqlBindDirectly) {
-  SetUpCluster(FastOptions());
-  auto outcome = cluster->ExecuteMal(1, R"(
-X1 := sql.bind("sys","t","id",0);
-X2 := aggr.count(X1);
-)", /*optimize=*/false);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(std::get<int64_t>(outcome->result), 4);
+TEST_F(RuntimeRing, HandWrittenPlansSeeCommittedWritesOnEveryNode) {
+  auto opts = FastOptions();
+  opts.compaction.enable = false;  // the insert stays a delta over the base
+  SetUpCluster(opts);
+  auto ins = Run(0, "insert into t (id) values (5)");
+  ASSERT_TRUE(ins.ok()) << ins.status().ToString();
+  ASSERT_EQ(std::get<int64_t>(ins->result.scalar()), 1);
+
+  // The one read path: sql.bind becomes a pin resolved through the write
+  // log, so the owner's local base fragment is never read as-is.
+  for (core::NodeId node : {core::NodeId{1}, core::NodeId{0}}) {  // owner, non-owner
+    auto count = Run(node, kCountPlan);
+    ASSERT_TRUE(count.ok()) << "node " << node << ": " << count.status().ToString();
+    EXPECT_EQ(std::get<int64_t>(count->result.scalar()), 5) << "node " << node;
+  }
 }
 
 TEST_F(RuntimeRing, EveryNodeCanRunTheSameQuery) {
   SetUpCluster(FastOptions(4));
   for (core::NodeId n = 0; n < 4; ++n) {
-    auto outcome = cluster->ExecuteMal(n, kTable1Plan);
-    ASSERT_TRUE(outcome.ok()) << "node " << n << ": " << outcome.status().ToString();
-    ExpectTable1Result(*outcome);
+    auto result = Run(n, kTable1Plan);
+    ASSERT_TRUE(result.ok()) << "node " << n << ": " << result.status().ToString();
+    ExpectTable1Result(*result);
   }
 }
 
@@ -124,11 +145,8 @@ TEST_F(RuntimeRing, ConcurrentQueriesFromMultipleNodes) {
   for (core::NodeId n = 0; n < 4; ++n) {
     clients.emplace_back([&, n] {
       for (int q = 0; q < kQueriesPerNode; ++q) {
-        auto outcome = cluster->ExecuteMal(n, kTable1Plan);
-        if (!outcome.ok() ||
-            outcome->printed.find("sys.c.t_id") == std::string::npos) {
-          ++failures;
-        }
+        auto result = Run(n, kTable1Plan);
+        if (!result.ok() || result->result.num_rows() != 3) ++failures;
       }
     });
   }
@@ -140,7 +158,7 @@ TEST_F(RuntimeRing, SteadyStateQueryTrafficCreatesZeroThreads) {
   SetUpCluster(FastOptions());
   // Warm-up: the first query may lazily construct the shared executor (its
   // fixed pool spawns exactly once per process).
-  ASSERT_TRUE(cluster->ExecuteMal(0, kTable1Plan).ok());
+  ASSERT_TRUE(Run(0, kTable1Plan).ok());
   const auto warm = exec::Executor::Default().metrics();
 
   // Concurrent load from every node: plans run as tasks on the shared pool,
@@ -151,7 +169,7 @@ TEST_F(RuntimeRing, SteadyStateQueryTrafficCreatesZeroThreads) {
   for (core::NodeId n = 0; n < 3; ++n) {
     clients.emplace_back([&, n] {
       for (int q = 0; q < kQueriesPerNode; ++q) {
-        if (!cluster->ExecuteMal(n, kTable1Plan).ok()) ++failures;
+        if (!Run(n, kTable1Plan).ok()) ++failures;
       }
     });
   }
@@ -179,19 +197,19 @@ TEST_F(RuntimeRing, ExecPolicyRidesOptionsIntoTheProcessPolicy) {
   EXPECT_EQ(policy.morsel_rows, 4096u);
   EXPECT_EQ(policy.min_parallel_rows, 8192u);
   // Queries still work under the custom policy.
-  auto outcome = cluster->ExecuteMal(0, kTable1Plan);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  ExpectTable1Result(*outcome);
+  auto result = Run(0, kTable1Plan);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectTable1Result(*result);
 }
 
 TEST_F(RuntimeRing, MissingFragmentFailsTheQuery) {
   SetUpCluster(FastOptions());
-  auto outcome = cluster->ExecuteMal(0, R"(
+  auto result = Run(0, R"(
 X1 := sql.bind("sys","ghost","col",0);
 X2 := aggr.count(X1);
 )");
-  EXPECT_FALSE(outcome.ok());
-  EXPECT_TRUE(outcome.status().IsNotFound());
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsNotFound());
 }
 
 TEST_F(RuntimeRing, ResultsMatchAcrossTransferModes) {
@@ -200,19 +218,19 @@ TEST_F(RuntimeRing, ResultsMatchAcrossTransferModes) {
     auto opts = FastOptions();
     opts.mode = mode;
     SetUpCluster(opts);
-    auto outcome = cluster->ExecuteMal(0, kTable1Plan);
-    ASSERT_TRUE(outcome.ok())
-        << rdma::TransferModeName(mode) << ": " << outcome.status().ToString();
-    ExpectTable1Result(*outcome);
+    auto result = Run(0, kTable1Plan);
+    ASSERT_TRUE(result.ok())
+        << rdma::TransferModeName(mode) << ": " << result.status().ToString();
+    ExpectTable1Result(*result);
     cluster->Stop();
   }
 }
 
 TEST_F(RuntimeRing, RepeatedQueriesReuseTheHotSet) {
   SetUpCluster(FastOptions());
-  ASSERT_TRUE(cluster->ExecuteMal(0, kTable1Plan).ok());
+  ASSERT_TRUE(Run(0, kTable1Plan).ok());
   const auto first = cluster->NodeMetrics(1);  // owner of sys.t.id
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(cluster->ExecuteMal(0, kTable1Plan).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(Run(0, kTable1Plan).ok());
   const auto later = cluster->NodeMetrics(1);
   // The fragment stays hot between queries: few (if any) additional loads.
   EXPECT_LE(later.bats_loaded - first.bats_loaded, 3u);

@@ -1,8 +1,7 @@
 // End-to-end tests of the session-based query API (ISSUE-4): prepared plans
 // shared through the cluster plan cache, asynchronous Submit with
 // Wait/TryWait/deadline/Cancel, typed ResultSet access, per-node FIFO
-// admission control with backpressure, and the ExecuteMal compatibility
-// wrapper's parity with the legacy behaviour.
+// admission control with backpressure, and LoadBat validation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -155,7 +154,9 @@ TEST_F(SessionApi, PreparedPlanCompilesExactlyOnce) {
   EXPECT_EQ(stats.entries, 1u);
 
   // An uncached Prepare compiles afresh without touching the cache counters.
-  auto uncached = cluster->Prepare(kTable1Plan, /*optimize=*/true, /*use_cache=*/false);
+  PrepareOptions no_cache;
+  no_cache.use_cache = false;
+  auto uncached = cluster->Prepare(kTable1Plan, no_cache);
   ASSERT_TRUE(uncached.ok());
   EXPECT_NE(uncached->get(), prepared->get());
   EXPECT_EQ(cluster->plan_cache_stats().misses, 1u);
@@ -442,43 +443,8 @@ TEST_F(SessionApi, CancelBeforeExecutionStartsCountsAsQueuedCancel) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy wrapper + LoadBat validation.
+// LoadBat validation.
 // ---------------------------------------------------------------------------
-
-TEST_F(SessionApi, ExecuteMalWrapperMatchesSessionPath) {
-  SetUpCluster(FastOptions());
-
-  auto legacy = cluster->ExecuteMal(0, kTable1Plan, /*optimize=*/true);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  auto session = *cluster->OpenSession(0);
-  auto modern = session.Execute(kTable1Plan);
-  ASSERT_TRUE(modern.ok()) << modern.status().ToString();
-
-  // The wrapper's printed text is exactly the typed result's rendering.
-  EXPECT_EQ(legacy->printed, modern->result.ToText());
-  EXPECT_NE(legacy->printed.find("sys.c.t_id"), std::string::npos);
-  EXPECT_GT(legacy->wall_seconds, 0.0);
-
-  // Scalar plans keep returning the raw Datum through the wrapper.
-  auto sum = cluster->ExecuteMal(1, kSumPlan);
-  ASSERT_TRUE(sum.ok());
-  EXPECT_EQ(std::get<int64_t>(sum->result), 10);
-
-  // Unoptimized local execution still works through the wrapper.
-  auto unopt = cluster->ExecuteMal(1, kSumPlan, /*optimize=*/false);
-  ASSERT_TRUE(unopt.ok());
-  EXPECT_EQ(std::get<int64_t>(unopt->result), 10);
-
-  // Error surfaces are preserved.
-  EXPECT_TRUE(cluster->ExecuteMal(9, kSumPlan).status().IsInvalidArgument());
-  EXPECT_TRUE(cluster
-                  ->ExecuteMal(0, R"(
-X1 := sql.bind("sys","ghost","col",0);
-X2 := aggr.count(X1);
-)")
-                  .status()
-                  .IsNotFound());
-}
 
 TEST_F(SessionApi, LoadBatValidatesQualifiedNamesAndDuplicates) {
   auto opts = FastOptions();
@@ -500,9 +466,9 @@ TEST_F(SessionApi, LoadBatValidatesQualifiedNamesAndDuplicates) {
 
   ASSERT_TRUE(cluster->LoadBat(1, "sys.c.t_id", bat()).ok());
   cluster->Start();
-  auto outcome = cluster->ExecuteMal(1, kSumPlan);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(std::get<int64_t>(outcome->result), 6);
+  auto result = cluster->OpenSession(1)->Execute(kSumPlan);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(std::get<int64_t>(result->result.scalar()), 6);
 }
 
 TEST_F(SessionApi, SubmitRequiresARunningCluster) {

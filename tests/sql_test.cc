@@ -233,9 +233,9 @@ TEST(SqlDetect, LooksLikeSql) {
 
 TEST(SqlDetect, PlanCacheKeySeparatesDialects) {
   const std::string text = "select a from t";
-  EXPECT_NE(opt::PlanCacheKey(text, true, {}, "sql"), opt::PlanCacheKey(text, true, {}, "mal"));
-  EXPECT_EQ(opt::PlanCacheKey(text, true, {}, "sql"), opt::PlanCacheKey(text, true, {}, "sql"));
-  EXPECT_EQ(opt::PlanCacheKey(text, true).rfind("mal-", 0), 0u);  // default dialect
+  EXPECT_NE(opt::PlanCacheKey(text, "sql"), opt::PlanCacheKey(text, "mal"));
+  EXPECT_EQ(opt::PlanCacheKey(text, "sql"), opt::PlanCacheKey(text, "sql"));
+  EXPECT_EQ(opt::PlanCacheKey(text).rfind("mal-", 0), 0u);  // default dialect
 }
 
 // ---------------------------------------------------------------------------

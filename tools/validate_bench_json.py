@@ -25,7 +25,7 @@ UPDATES_METRIC_KEYS = (
 
 # The wire-compression row (bench_table4_tpch / bench_micro_engine): the
 # codec accounting must be present and self-consistent. With compression off
-# the frames are the v1 layout verbatim, so encoded/raw must be ~1.0; with it
+# every column is pass-through, so encoded/raw must be ~1.0; with it
 # on the ratio is workload-dependent (incompressible columns pay one encoding
 # byte each), so only positivity is asserted.
 BANDWIDTH_METRIC_KEYS = (
