@@ -231,14 +231,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cache.hits));
 
   // Resilience counters as their own bench row, so lossy CI smoke runs leave
-  // an auditable record (retransmits > 0 proves the schedule actually bit).
+  // an auditable record (retransmits > 0 proves the schedule actually bit),
+  // and fault-free runs show retransmits staying small against hops.
   const runtime::RingCluster::ResilienceMetrics res = ring.Resilience();
+  const runtime::RingCluster::BandwidthMetrics bw = ring.Bandwidth();
   harness.Run("resilience",
               {{"scale", Fmt("%.3f", scale)}, {"nodes", std::to_string(nodes)}},
               [&] {
                 bench::RepResult rep;
                 rep.items = 1;
                 rep.metrics["retransmits"] = static_cast<double>(res.retransmits);
+                rep.metrics["hops"] = static_cast<double>(bw.hops);
                 rep.metrics["frames_abandoned"] =
                     static_cast<double>(res.frames_abandoned);
                 rep.metrics["link_resets"] = static_cast<double>(res.link_resets);
@@ -302,7 +305,6 @@ int main(int argc, char** argv) {
               });
   // Wire-compression counters as their own bench row: bytes/hop and the
   // encoded/raw ratio are the headline numbers of the codec layer.
-  const runtime::RingCluster::BandwidthMetrics bw = ring.Bandwidth();
   harness.Run("bandwidth",
               {{"scale", Fmt("%.3f", scale)},
                {"nodes", std::to_string(nodes)},
@@ -352,20 +354,20 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(mem.resident_bytes),
         static_cast<unsigned long long>(mem.spilled_bytes));
   }
-  if (lossy) {
-    std::printf(
-        "resilience: %llu retransmits, %llu nacks, %llu corrupted, %llu dup, "
-        "%llu gap (injected: %llu dropped / %llu delayed / %llu dup / %llu corrupt)\n",
-        static_cast<unsigned long long>(res.retransmits),
-        static_cast<unsigned long long>(res.nacks_sent),
-        static_cast<unsigned long long>(res.frames_corrupted),
-        static_cast<unsigned long long>(res.frames_duplicate),
-        static_cast<unsigned long long>(res.frames_gap),
-        static_cast<unsigned long long>(fault.counters().dropped.load()),
-        static_cast<unsigned long long>(fault.counters().delayed.load()),
-        static_cast<unsigned long long>(fault.counters().duplicated.load()),
-        static_cast<unsigned long long>(fault.counters().corrupted.load()));
-  }
+  std::printf(
+      "resilience: %llu retransmits over %llu hops, %llu nacks, %llu corrupted, "
+      "%llu dup, %llu gap (injected: %llu dropped / %llu delayed / %llu dup / "
+      "%llu corrupt)\n",
+      static_cast<unsigned long long>(res.retransmits),
+      static_cast<unsigned long long>(bw.hops),
+      static_cast<unsigned long long>(res.nacks_sent),
+      static_cast<unsigned long long>(res.frames_corrupted),
+      static_cast<unsigned long long>(res.frames_duplicate),
+      static_cast<unsigned long long>(res.frames_gap),
+      static_cast<unsigned long long>(fault.counters().dropped.load()),
+      static_cast<unsigned long long>(fault.counters().delayed.load()),
+      static_cast<unsigned long long>(fault.counters().duplicated.load()),
+      static_cast<unsigned long long>(fault.counters().corrupted.load()));
   if (writes > 0) {
     // Pin the pre-write version: a reader at this snapshot must keep seeing
     // the untouched Q6 answer no matter what the writers commit.

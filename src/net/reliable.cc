@@ -12,49 +12,91 @@ void ReliableSender::Track(uint32_t opcode, const rdma::MetaBlob& meta,
     Reset(now);
     return;
   }
-  const bool was_empty = unacked_.empty();
-  unacked_.push_back(Stored{opcode, meta, std::move(payload), seq});
-  if (was_empty) {
-    head_attempts_ = 0;
-    next_retx_ = now + RetxDelay(0);
-  }
+  if (unacked_.empty()) next_retx_ = now + rto();
+  unacked_.push_back(Stored{opcode, meta, std::move(payload), seq, now});
 }
 
 void ReliableSender::OnAck(uint32_t epoch, uint64_t seq, SimTime now) {
   if (epoch != epoch_) return;  // stale (pre-reset) acknowledgement
-  bool advanced = false;
-  while (!unacked_.empty() && unacked_.front().seq <= seq) {
-    unacked_.pop_front();
-    advanced = true;
-  }
-  if (advanced) {
-    head_attempts_ = 0;
-    next_retx_ = unacked_.empty() ? 0 : now + RetxDelay(0);
-  }
+  Retire(seq + 1, now);
 }
 
 void ReliableSender::OnNack(uint32_t epoch, uint64_t seq, SimTime now) {
-  if (epoch != epoch_) return;
-  while (!unacked_.empty() && unacked_.front().seq < seq) {
-    unacked_.pop_front();  // implicitly acknowledged by the NACK point
-    head_attempts_ = 0;
-  }
-  if (!unacked_.empty()) next_retx_ = now;  // retransmit on the next pump
+  if (epoch != epoch_ || unacked_.empty() || seq < unacked_.front().seq) return;
+  Retire(seq, now);  // frames < seq are implicitly acknowledged
+  if (unacked_.empty()) return;
+  nacked_ = true;
+  next_retx_ = now;  // retransmit on the next pump
 }
 
-const std::deque<ReliableSender::Stored>* ReliableSender::CollectRetransmits(
-    SimTime now) {
-  if (unacked_.empty() || now < next_retx_) return nullptr;
-  if (head_attempts_ + 1 >= opts_.max_attempts) {
-    // The head frame is not getting through; go-back-N cannot skip it
-    // without leaving the receiver gapped forever, so flap the whole link.
-    Reset(now);
-    return nullptr;
+void ReliableSender::Retire(uint64_t end, SimTime now) {
+  if (unacked_.empty() || unacked_.front().seq >= end) return;
+  // Re-sent frames always form a prefix of the window (a timeout re-sends the
+  // head, a NACK everything), so a fresh head means the ACK covers no re-sent
+  // frame and its round trip is unambiguous. Karn's algorithm: sample only
+  // then, and keep the backed-off timeout until then, since collapsing it on
+  // an ambiguous ACK would time the next head out just as early again.
+  const Stored& head = unacked_.front();
+  if (!head.resent) {
+    SampleRtt(std::max<SimTime>(0, now - head.sent_at));
+    backoff_ = 0;
   }
-  ++head_attempts_;
-  metrics_.retransmits += unacked_.size();
-  next_retx_ = now + RetxDelay(head_attempts_);
-  return &unacked_;
+  while (!unacked_.empty() && unacked_.front().seq < end) unacked_.pop_front();
+  // Progress after a NACK means the peer has since received the NACKed seq.
+  nacked_ = false;
+  head_attempts_ = 0;
+  next_retx_ = now + rto();
+}
+
+void ReliableSender::SampleRtt(SimTime rtt) {
+  if (!rtt_sampled_) {
+    rtt_sampled_ = true;
+    srtt_ = rtt;
+    rttvar_ = rtt / 2;
+    return;
+  }
+  // RFC 6298 §2.3: RTTVAR first, against the SRTT before this sample.
+  const SimTime err = srtt_ > rtt ? srtt_ - rtt : rtt - srtt_;
+  rttvar_ += (err - rttvar_) / 4;
+  srtt_ += (rtt - srtt_) / 8;
+}
+
+SimTime ReliableSender::rto() const {
+  SimTime timeout = rtt_sampled_ ? srtt_ + 4 * rttvar_ : opts_.initial_backoff;
+  timeout = std::max(timeout, opts_.initial_backoff);
+  for (uint32_t i = 0; i < backoff_ && timeout < opts_.max_backoff; ++i) {
+    timeout *= 2;
+  }
+  return std::min(timeout, opts_.max_backoff);
+}
+
+const std::vector<ReliableSender::Stored>* ReliableSender::CollectRetransmits(
+    SimTime now) {
+  due_.clear();  // drop the payload references of the previous batch
+  if (unacked_.empty() || now < next_retx_) return nullptr;
+  size_t n = unacked_.size();
+  if (!nacked_) {
+    if (head_attempts_ + 1 >= opts_.max_attempts) {
+      // The head frame is not getting through; go-back-N cannot skip it
+      // without leaving the receiver gapped forever, so flap the whole link.
+      Reset(now);
+      return nullptr;
+    }
+    // A timeout says only that the head's ACK is late, most often because
+    // the peer is still busy with its batch. If the head was in fact lost,
+    // any frame behind it that arrived has drawn a gap NACK.
+    ++head_attempts_;
+    ++backoff_;
+    n = 1;
+  }
+  nacked_ = false;
+  for (size_t i = 0; i < n; ++i) {
+    unacked_[i].resent = true;
+    due_.push_back(unacked_[i]);
+  }
+  metrics_.retransmits += n;
+  next_retx_ = now + rto();
+  return &due_;
 }
 
 void ReliableSender::Reset(SimTime now) {
@@ -63,16 +105,12 @@ void ReliableSender::Reset(SimTime now) {
   unacked_.clear();
   ++epoch_;
   next_seq_ = 0;
+  nacked_ = false;
   head_attempts_ = 0;
+  backoff_ = 0;
   next_retx_ = now;
-}
-
-SimTime ReliableSender::RetxDelay(uint32_t attempts) {
-  SimTime base = opts_.initial_backoff;
-  for (uint32_t i = 0; i < attempts && base < opts_.max_backoff; ++i) base *= 2;
-  base = std::min(base, opts_.max_backoff);
-  const double scale = 1.0 + opts_.jitter * (2.0 * rng_.NextDouble() - 1.0);
-  return std::max<SimTime>(1, static_cast<SimTime>(static_cast<double>(base) * scale));
+  rtt_sampled_ = false;
+  srtt_ = rttvar_ = 0;
 }
 
 ReliableReceiver::Outcome ReliableReceiver::OnFrame(const FrameHeader& h,

@@ -1,6 +1,6 @@
 // Hop-level reliability for the live ring transport: framing, sequence
-// numbers, CRC verification, cumulative ACK / NACK, and go-back-N
-// retransmission with exponential backoff.
+// numbers, CRC verification, cumulative ACK / NACK, go-back-N retransmission
+// on NACK, and a retransmission timer estimated from measured round trips.
 //
 // Each directed neighbour link (data clockwise, requests anti-clockwise)
 // gets a ReliableSender at the sending node and a ReliableReceiver slot at
@@ -8,8 +8,18 @@
 // seq, payload_crc, magic}; the receiver verifies the CRC, delivers
 // in-order frames, and answers gaps or corruption with a NACK naming the
 // sequence it expected. The sender keeps un-ACKed frames in a window and
-// retransmits from the NACKed (or timed-out) frame onward — classic
-// go-back-N, which preserves the ring's FIFO contract.
+// retransmits from the NACKed frame onward — classic go-back-N, which
+// preserves the ring's FIFO contract.
+//
+// A NACK is evidence of a gap; a timeout is not. The receiver ACKs only after
+// it has verified and handled a drained batch, so a late ACK usually means a
+// busy receiver, not a lost frame. The timeout therefore follows RFC 6298:
+// RTO = SRTT + 4·RTTVAR over round trips measured from ACKs (Jacobson/Karels,
+// α = 1/8, β = 1/4), sampling only frames that were never re-sent. Each
+// timeout doubles it, and the doubled value holds until the next sample
+// (Karn's algorithm). An expiry re-sends only the window head: a lost head
+// behind which nothing arrives to provoke a gap NACK still gets through,
+// while a slow ACK costs one frame, not the whole window.
 //
 // Epochs make restarts safe: whenever a sender resets (node restart, ring
 // re-splice, or an exhausted retransmit budget abandoning the window), it
@@ -26,6 +36,7 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "common/random.h"
 #include "common/units.h"
@@ -123,13 +134,16 @@ inline uint32_t CtrlCrc(const CtrlMsg& c) {
 
 /// \brief Tunables for one reliable link.
 struct ReliableOptions {
-  /// Retransmission attempts for the window head before the sender declares
-  /// the link flapped and resets (new epoch, window abandoned).
+  /// Consecutive timeouts of the window head before the sender declares the
+  /// link flapped and resets (new epoch, window abandoned).
   uint32_t max_attempts = 10;
+  /// Retransmission timeout before the first round-trip sample, and the
+  /// floor under every later estimate.
   SimTime initial_backoff = FromMillis(2);
-  SimTime max_backoff = FromMillis(100);
-  /// Backoff jitter fraction: each delay is scaled by 1 + jitter*U(-1,1).
-  double jitter = 0.25;
+  /// Cap on the retransmission timeout, backoff included. It must sit above
+  /// the slowest receiver's batch time, or the estimate cannot follow it:
+  /// under ThreadSanitizer a busy node takes 100-500 ms to ACK.
+  SimTime max_backoff = FromMillis(1000);
   /// Un-ACKed frames the sender will hold before resetting the link
   /// (back-pressure of last resort; the channel's byte capacity usually
   /// throttles first).
@@ -154,12 +168,9 @@ struct ReliableMetrics {
 /// node service thread that also owns the outgoing channel.
 class ReliableSender {
  public:
-  void Init(uint32_t self, uint32_t channel, const ReliableOptions& opts,
-            uint64_t seed) {
+  void Init(uint32_t self, const ReliableOptions& opts) {
     self_ = self;
-    channel_ = channel;
     opts_ = opts;
-    rng_.Seed(SplitMix64(seed ^ ((static_cast<uint64_t>(self) << 8) | channel)).Next());
   }
 
   /// Stamps the envelope for the next outgoing frame. The envelope's own
@@ -183,42 +194,57 @@ class ReliableSender {
   void OnAck(uint32_t epoch, uint64_t seq, SimTime now);
 
   /// The peer expected `seq`: frames < seq are implicitly ACKed, the rest
-  /// retransmit immediately.
+  /// retransmit immediately. A NACK below the window head is stale (an ACK
+  /// has since covered that seq) and is ignored.
   void OnNack(uint32_t epoch, uint64_t seq, SimTime now);
 
-  /// A frame to retransmit per entry, in order, or nullptr when nothing is
-  /// due. On the head frame exhausting its attempt budget the whole window
-  /// is abandoned with a link reset (go-back-N cannot skip one frame
+  /// The frames to retransmit now, in order, or nullptr when nothing is due:
+  /// after a NACK the window from the NACKed seq on, after a timeout the
+  /// window head alone. The result stays valid until the next call. When the
+  /// head times out for the max_attempts-th time in a row the whole window is
+  /// abandoned with a link reset instead (go-back-N cannot skip one frame
   /// without leaving the receiver gapped forever).
   struct Stored {
     uint32_t opcode = 0;
     rdma::MetaBlob meta;
     rdma::Buffer payload;
     uint64_t seq = 0;
+    SimTime sent_at = 0;  ///< first transmission, for the round-trip sample
+    bool resent = false;  ///< re-sent at least once: its ACK is no sample
   };
-  const std::deque<Stored>* CollectRetransmits(SimTime now);
+  const std::vector<Stored>* CollectRetransmits(SimTime now);
 
-  /// Bumps the epoch, restarts seq at 0, abandons the window. Used on node
+  /// Bumps the epoch, restarts seq at 0, abandons the window and forgets the
+  /// round-trip estimate (the peer may be a different node). Used on node
   /// restart, ring re-splice, and retransmit exhaustion.
   void Reset(SimTime now);
 
   uint32_t epoch() const { return epoch_; }
   uint64_t next_seq() const { return next_seq_; }
   size_t window_size() const { return unacked_.size(); }
+  /// The current retransmission timeout, backoff included.
+  SimTime rto() const;
   const ReliableMetrics& metrics() const { return metrics_; }
 
  private:
-  SimTime RetxDelay(uint32_t attempts);
+  /// Retires every frame with seq < end; on progress restarts the timer and
+  /// takes a round-trip sample unless the head was re-sent.
+  void Retire(uint64_t end, SimTime now);
+  void SampleRtt(SimTime rtt);
 
   uint32_t self_ = core::kInvalidNode;
-  uint32_t channel_ = kChData;
   ReliableOptions opts_;
-  Rng rng_;
   uint32_t epoch_ = 0;
   uint64_t next_seq_ = 0;
   std::deque<Stored> unacked_;
-  uint32_t head_attempts_ = 0;
+  std::vector<Stored> due_;  ///< what the last CollectRetransmits returned
+  bool nacked_ = false;      ///< a NACK is waiting for its go-back-N resend
+  uint32_t head_attempts_ = 0;  ///< consecutive timeouts of the head
+  uint32_t backoff_ = 0;  ///< RTO doublings since the last RTT sample
   SimTime next_retx_ = 0;
+  bool rtt_sampled_ = false;
+  SimTime srtt_ = 0;
+  SimTime rttvar_ = 0;
   ReliableMetrics metrics_;
 };
 

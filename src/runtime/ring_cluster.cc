@@ -209,8 +209,8 @@ class RingCluster::Node final : public core::DcEnv {
       request_in_->SetFaultInjector(opts.fault, id_, rdma::kFaultChannelRequest);
       ctrl_in_->SetFaultInjector(opts.fault, id_, rdma::kFaultChannelCtrl);
     }
-    data_out_.Init(id_, net::kChData, opts.resilience.link, opts.resilience.seed);
-    req_out_.Init(id_, net::kChRequest, opts.resilience.link, opts.resilience.seed);
+    data_out_.Init(id_, opts.resilience.link);
+    req_out_.Init(id_, opts.resilience.link);
   }
 
   // ---- wiring ---------------------------------------------------------------

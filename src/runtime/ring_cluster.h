@@ -58,8 +58,6 @@ struct ResilienceOptions {
   /// node (the heir) so the data survives the owner. When off, pins on the
   /// dead node's fragments fail with Unavailable instead.
   bool auto_rehome = true;
-  /// Seed for the per-link backoff jitter streams.
-  uint64_t seed = 0xDC0FA17u;
 };
 
 /// \brief A complete in-process ring.

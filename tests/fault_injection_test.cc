@@ -3,7 +3,8 @@
 //     firing budgets, link matching.
 //   - rdma::Channel under injected faults: drop, duplicate, delay, corrupt.
 //   - net::ReliableSender / ReliableReceiver: sequencing, cumulative ACK,
-//     NACK-triggered go-back-N retransmission, backoff, epoch resets.
+//     NACK-triggered go-back-N retransmission, the RFC 6298 head-only
+//     retransmission timer (Karn's rule, backoff), epoch resets.
 //   - bat decode fuzz: every single-byte flip and every truncation of a
 //     serialized BAT frame must surface Status::Corruption — never crash.
 #include <gtest/gtest.h>
@@ -227,7 +228,6 @@ net::ReliableOptions FastLink() {
   net::ReliableOptions o;
   o.initial_backoff = FromMillis(1);
   o.max_backoff = FromMillis(4);
-  o.jitter = 0.0;
   o.max_attempts = 3;
   o.max_unacked = 8;
   return o;
@@ -235,7 +235,7 @@ net::ReliableOptions FastLink() {
 
 TEST(ReliableSenderTest, HeadersSequenceWithinAnEpoch) {
   net::ReliableSender s;
-  s.Init(2, net::kChData, FastLink(), 99);
+  s.Init(2, FastLink());
   const auto h0 = s.NextHeader(0xAB);
   const auto h1 = s.NextHeader(0xCD);
   EXPECT_EQ(h0.sender, 2u);
@@ -247,7 +247,7 @@ TEST(ReliableSenderTest, HeadersSequenceWithinAnEpoch) {
 
 TEST(ReliableSenderTest, CumulativeAckShrinksTheWindow) {
   net::ReliableSender s;
-  s.Init(0, net::kChData, FastLink(), 1);
+  s.Init(0, FastLink());
   for (int i = 0; i < 4; ++i) {
     const auto h = s.NextHeader(0);
     s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, /*now=*/0);
@@ -261,7 +261,7 @@ TEST(ReliableSenderTest, CumulativeAckShrinksTheWindow) {
 
 TEST(ReliableSenderTest, StaleEpochAckIsIgnored) {
   net::ReliableSender s;
-  s.Init(0, net::kChData, FastLink(), 1);
+  s.Init(0, FastLink());
   const auto h = s.NextHeader(0);
   s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, 0);
   s.OnAck(s.epoch() + 1, 0, 0);
@@ -270,7 +270,7 @@ TEST(ReliableSenderTest, StaleEpochAckIsIgnored) {
 
 TEST(ReliableSenderTest, NackRetransmitsFromTheExpectedSeq) {
   net::ReliableSender s;
-  s.Init(0, net::kChData, FastLink(), 1);
+  s.Init(0, FastLink());
   for (int i = 0; i < 3; ++i) {
     const auto h = s.NextHeader(0);
     s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, 0);
@@ -287,7 +287,7 @@ TEST(ReliableSenderTest, NackRetransmitsFromTheExpectedSeq) {
 
 TEST(ReliableSenderTest, RetransmitWaitsOutTheBackoff) {
   net::ReliableSender s;
-  s.Init(0, net::kChData, FastLink(), 1);
+  s.Init(0, FastLink());
   const auto h = s.NextHeader(0);
   s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, /*now=*/0);
   // Unacked but the (1ms) timer has not expired yet.
@@ -297,7 +297,7 @@ TEST(ReliableSenderTest, RetransmitWaitsOutTheBackoff) {
 
 TEST(ReliableSenderTest, ExhaustedAttemptsResetTheLink) {
   net::ReliableSender s;
-  s.Init(0, net::kChData, FastLink(), 1);  // max_attempts = 3
+  s.Init(0, FastLink());  // max_attempts = 3
   const auto h = s.NextHeader(0);
   const uint32_t epoch0 = s.epoch();
   s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, 0);
@@ -317,13 +317,121 @@ TEST(ReliableSenderTest, ExhaustedAttemptsResetTheLink) {
 
 TEST(ReliableSenderTest, WindowOverflowResetsInsteadOfGrowingForever) {
   net::ReliableSender s;
-  s.Init(0, net::kChData, FastLink(), 1);  // max_unacked = 8
+  s.Init(0, FastLink());  // max_unacked = 8
   for (int i = 0; i < 9; ++i) {
     const auto h = s.NextHeader(0);
     s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, 0);
   }
   EXPECT_EQ(s.metrics().link_resets, 1u);
   EXPECT_LE(s.window_size(), 8u);
+}
+
+// Sends one payload-less frame at `at`; returns its seq.
+uint64_t SendOne(net::ReliableSender* s, SimTime at) {
+  const auto h = s->NextHeader(0);
+  s->Track(1, rdma::MetaBlob("m"), nullptr, h.seq, at);
+  return h.seq;
+}
+
+// FastLink with room above the floor for a measured timeout and for a run of
+// consecutive timeouts.
+net::ReliableOptions WideLink() {
+  net::ReliableOptions o = FastLink();
+  o.max_backoff = FromMillis(100);
+  o.max_attempts = 10;
+  return o;
+}
+
+TEST(ReliableSenderTest, TimeoutTracksTheMeasuredRoundTrip) {
+  net::ReliableSender s;
+  s.Init(0, WideLink());
+  EXPECT_EQ(s.rto(), FromMillis(1));  // initial_backoff until the first sample
+  SimTime now = 0;
+  for (int i = 0; i < 4; ++i) {
+    const uint64_t seq = SendOne(&s, now);
+    now += FromMillis(10);
+    s.OnAck(s.epoch(), seq, now);
+  }
+  // Four 10 ms samples: SRTT = 10 ms, RTTVAR = 5 ms * (3/4)^3.
+  const SimTime rto = FromMillis(10) + 4 * FromMicros(2109.375);
+  EXPECT_EQ(s.rto(), rto);
+  SendOne(&s, now);
+  EXPECT_EQ(s.CollectRetransmits(now + FromMillis(5)), nullptr);
+  EXPECT_EQ(s.CollectRetransmits(now + rto - 1), nullptr);
+  EXPECT_NE(s.CollectRetransmits(now + rto), nullptr);
+}
+
+TEST(ReliableSenderTest, AckCoveringAResentFrameIsNoRoundTripSample) {
+  net::ReliableSender s;
+  s.Init(0, WideLink());
+  uint64_t seq = SendOne(&s, 0);
+  s.OnAck(s.epoch(), seq, FromMillis(10));
+  ASSERT_EQ(s.rto(), FromMillis(30));  // SRTT 10 ms + 4 * RTTVAR 5 ms
+  // The next frame times out and is re-sent; which copy a late ACK answers
+  // is ambiguous, so it leaves the estimate alone and the backoff in place.
+  seq = SendOne(&s, FromMillis(10));
+  ASSERT_NE(s.CollectRetransmits(FromMillis(40)), nullptr);
+  s.OnAck(s.epoch(), seq, FromMillis(90));
+  EXPECT_EQ(s.rto(), FromMillis(60));
+  // A fresh 10 ms sample lands as if the 80 ms ACK had never been seen:
+  // SRTT 10 ms, RTTVAR 3.75 ms.
+  seq = SendOne(&s, FromMillis(90));
+  s.OnAck(s.epoch(), seq, FromMillis(100));
+  EXPECT_EQ(s.rto(), FromMillis(25));
+}
+
+TEST(ReliableSenderTest, TimeoutResendsTheHeadButNackGoesBackN) {
+  net::ReliableSender s;
+  s.Init(0, FastLink());
+  for (int i = 0; i < 3; ++i) SendOne(&s, 0);
+  const auto* retx = s.CollectRetransmits(FromMillis(1));
+  ASSERT_NE(retx, nullptr);
+  ASSERT_EQ(retx->size(), 1u);
+  EXPECT_EQ((*retx)[0].seq, 0u);
+  // The peer expected seq 1: go-back-N from there, not just the head.
+  s.OnNack(s.epoch(), 1, FromMillis(1));
+  retx = s.CollectRetransmits(FromMillis(1));
+  ASSERT_NE(retx, nullptr);
+  ASSERT_EQ(retx->size(), 2u);
+  EXPECT_EQ((*retx)[0].seq, 1u);
+  EXPECT_EQ((*retx)[1].seq, 2u);
+  EXPECT_EQ(s.metrics().retransmits, 3u);
+  // A delayed NACK below the head is stale and re-sends nothing.
+  s.OnNack(s.epoch(), 0, FromMillis(1));
+  EXPECT_EQ(s.CollectRetransmits(FromMillis(1)), nullptr);
+}
+
+TEST(ReliableSenderTest, BackoffDoublesPerTimeoutAndResetsOnAFreshSample) {
+  net::ReliableOptions o = WideLink();
+  o.max_backoff = FromMillis(8);
+  net::ReliableSender s;
+  s.Init(0, o);
+  SendOne(&s, 0);
+  SendOne(&s, 0);
+  SimTime due = FromMillis(1);
+  for (const double gap_ms : {2, 4, 8, 8}) {  // doubled, then capped
+    EXPECT_EQ(s.CollectRetransmits(due - 1), nullptr);
+    ASSERT_NE(s.CollectRetransmits(due), nullptr);
+    EXPECT_EQ(s.rto(), FromMillis(gap_ms));
+    due += FromMillis(gap_ms);
+  }
+  // ACKing the re-sent head makes progress but gives no sample, so the next
+  // head is timed with the backed-off value (Karn's algorithm).
+  SimTime now = due - 1;
+  s.OnAck(s.epoch(), 0, now);
+  EXPECT_EQ(s.rto(), FromMillis(8));
+  EXPECT_EQ(s.CollectRetransmits(now + FromMillis(8) - 1), nullptr);
+  const auto* retx = s.CollectRetransmits(now + FromMillis(8));
+  ASSERT_NE(retx, nullptr);
+  ASSERT_EQ(retx->size(), 1u);
+  EXPECT_EQ((*retx)[0].seq, 1u);
+  now += FromMillis(8);
+  s.OnAck(s.epoch(), 1, now);
+  // The first frame that was never re-sent resets it: a 2 ms sample gives
+  // SRTT 2 ms + 4 * RTTVAR 1 ms.
+  const uint64_t seq = SendOne(&s, now);
+  s.OnAck(s.epoch(), seq, now + FromMillis(2));
+  EXPECT_EQ(s.rto(), FromMillis(6));
 }
 
 net::FrameHeader Frame(uint32_t sender, uint32_t epoch, uint64_t seq) {
@@ -431,7 +539,7 @@ TEST(ReliableEnvelopeTest, AnyEnvelopeBitFlipFailsVerification) {
   // receiver XORs it back out over the *received* fields. Flip any bit of
   // any identity field and verification must fail.
   net::ReliableSender s;
-  s.Init(1, net::kChData, FastLink(), 7);
+  s.Init(1, FastLink());
   const uint32_t content_crc = 0xFEEDFACE;
   const net::FrameHeader h = s.NextHeader(content_crc);
   ASSERT_EQ(h.payload_crc ^ net::EnvelopeCrc(h), content_crc);
@@ -488,7 +596,7 @@ TEST(ReliableLoopTest, LossyLinkConvergesViaNackAndRetransmit) {
   // Sender -> receiver over an imaginary wire that loses every third frame;
   // the NACK/retransmit loop must still deliver 0..N-1 in order.
   net::ReliableSender s;
-  s.Init(0, net::kChData, FastLink(), 13);
+  s.Init(0, FastLink());
   net::ReliableReceiver r;
   std::vector<uint64_t> delivered;
   SimTime now = 0;
@@ -521,6 +629,44 @@ TEST(ReliableLoopTest, LossyLinkConvergesViaNackAndRetransmit) {
   }
   EXPECT_EQ(delivered, (std::vector<uint64_t>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(s.window_size(), 0u);
+}
+
+TEST(ReliableLoopTest, LostLastFrameConvergesOnTheTimer) {
+  // The last frame of a burst is lost and nothing follows it, so no gap can
+  // draw a NACK: only the retransmission timer recovers it.
+  net::ReliableSender s;
+  s.Init(0, FastLink());
+  net::ReliableReceiver r;
+  std::vector<uint64_t> delivered;
+  const auto deliver = [&](uint64_t seq) {
+    if (r.OnFrame(Frame(0, s.epoch(), seq), true).verdict ==
+        net::ReliableReceiver::Verdict::kDeliver) {
+      delivered.push_back(seq);
+    }
+  };
+  const auto ack = [&](SimTime now) {
+    uint32_t epoch = 0;
+    uint64_t seq = 0;
+    if (r.CumulativeAck(0, &epoch, &seq)) s.OnAck(epoch, seq, now);
+  };
+  SimTime now = 0;
+  for (int i = 0; i < 3; ++i) {
+    const uint64_t seq = SendOne(&s, now);
+    if (i < 2) deliver(seq);  // seq 2 is lost on the wire
+  }
+  now += FromMillis(1);
+  ack(now);
+  for (int round = 0; round < 20 && delivered.size() < 3; ++round) {
+    now += FromMillis(1);
+    const auto* retx = s.CollectRetransmits(now);
+    if (retx == nullptr) continue;
+    for (const auto& st : *retx) deliver(st.seq);
+    ack(now);
+  }
+  EXPECT_EQ(delivered, (std::vector<uint64_t>{0, 1, 2}));
+  EXPECT_EQ(s.window_size(), 0u);
+  EXPECT_EQ(s.metrics().retransmits, 1u);
+  EXPECT_EQ(r.metrics().nacks_sent, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -48,6 +48,28 @@ def validate_bandwidth_case(path: str, case: dict) -> None:
             f"{path}: compression off but codec columns were counted"
 
 
+# The hop-reliability row (bench_table4_tpch): on a fault-free fabric nothing
+# is lost, so a retransmit is wasted work, and frames_duplicate counts exactly
+# those spurious re-sends. A descheduled receiver can still outlast any
+# timeout estimate, so the invariant is a bound, not zero.
+RESILIENCE_INJECTED_KEYS = (
+    "injected_dropped", "injected_delayed", "injected_duplicated",
+    "injected_corrupted",
+)
+CLEAN_FABRIC_MAX_RETRANSMITS_PER_HOP = 0.2
+
+
+def validate_resilience_case(path: str, case: dict) -> None:
+    m = case.get("metrics", {})
+    for key in ("retransmits", "hops") + RESILIENCE_INJECTED_KEYS:
+        assert key in m, f"{path}: resilience row missing metric {key}"
+    if all(m[key] == 0 for key in RESILIENCE_INJECTED_KEYS):
+        bound = CLEAN_FABRIC_MAX_RETRANSMITS_PER_HOP * m["hops"]
+        assert m["retransmits"] <= bound, \
+            f"{path}: {m['retransmits']:.0f} retransmits over {m['hops']:.0f} hops " \
+            f"on a fault-free fabric (bound {bound:.0f})"
+
+
 def validate_updates_case(path: str, case: dict) -> None:
     m = case.get("metrics", {})
     for key in UPDATES_METRIC_KEYS:
@@ -72,6 +94,8 @@ def validate(path: str) -> None:
             validate_updates_case(path, case)
         if case["name"] == "bandwidth":
             validate_bandwidth_case(path, case)
+        if case["name"] == "resilience":
+            validate_resilience_case(path, case)
 
 
 def main() -> int:
