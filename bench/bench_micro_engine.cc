@@ -1,5 +1,6 @@
 // Micro-benchmarks of the BAT engine operators (M1): select / hash join /
-// merge join / semijoin / sort / group-aggregate throughput, plus the bulk
+// merge join / fetch join (against its keyed merge twin) / semijoin / sort /
+// group-aggregate throughput, plus the bulk
 // BAT serializer on the ring hot path, the morsel-parallel engine with a
 // workers axis (par_* cases — select/join/aggregate since issue 3;
 // sort/topn, the radix-partitioned join build, and the two-pass string
@@ -13,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bat/kernels.h"
@@ -108,6 +110,50 @@ int main(int argc, char** argv) {
       rep.items = static_cast<double>(n) * iters;
       return rep;
     });
+  }
+
+  // The leftjoin every SQL plan runs per live column after a selection:
+  // [dense, sorted positions] against a [dense, lng] column, through ~98%
+  // of its rows (the Q1 shape). fetch_join takes the positional path; the
+  // keyed twin holds the same head as a sorted oid column, so Join takes
+  // the merge path instead. validate_bench_json.py gates their ratio, also
+  // on one-repeat smoke runs, so each row runs one untimed join and then
+  // probes at least 2^22 rows per repeat: a lone stall or first-touch page
+  // fault must not decide the ratio.
+  for (size_t n : {size_t{1} << 16, size_t{1} << 20}) {
+    const int twin_iters = std::max(iters, static_cast<int>((size_t{1} << 22) / n));
+    Rng rng(9);
+    std::vector<int64_t> values(n);
+    for (auto& v : values) v = rng.UniformInt(0, int64_t{1} << 40);
+    std::vector<Oid> positions;
+    positions.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.UniformU64(0, 49) != 0) positions.push_back(i);
+    }
+    const size_t m = positions.size();
+    Bat::Properties lp;
+    lp.hsorted = lp.hkey = lp.tsorted = lp.tkey = true;
+    auto l = std::make_shared<Bat>(MakeDenseOid(0, m),
+                                   MakeOidColumn(std::move(positions)), lp);
+    auto column = Bat::MakeColumn(MakeLngColumn(std::move(values)));
+    std::vector<Oid> keys(n);
+    for (size_t i = 0; i < n; ++i) keys[i] = i;
+    auto keyed = std::make_shared<Bat>(MakeOidColumn(std::move(keys)), column->tail(),
+                                       column->props());
+    const std::pair<std::string, BatPtr> twins[] = {{"fetch_join/", column},
+                                                    {"fetch_join_keyed/", keyed}};
+    for (const auto& twin : twins) {
+      const BatPtr& r = twin.second;
+      auto warm = LeftJoin(l, r);
+      harness.Run(twin.first + std::to_string(n), Params(n, twin_iters), [&] {
+        for (int i = 0; i < twin_iters; ++i) {
+          auto out = LeftJoin(l, r);
+        }
+        RepResult rep;
+        rep.items = static_cast<double>(m) * twin_iters;
+        return rep;
+      });
+    }
   }
 
   for (size_t n : {size_t{1} << 12, size_t{1} << 16}) {

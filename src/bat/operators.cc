@@ -12,11 +12,15 @@
 #include "common/logging.h"
 
 // The operators compose the vectorized kernels in bat/kernels.h: filters
-// produce selection vectors over raw arrays, joins probe a flat
-// open-addressing table on materialized int64 keys, and outputs are built by
-// bulk gather/append — no per-row Value boxing anywhere on the hot path. The
-// pre-vectorization row-at-a-time implementations live on as the
-// differential-test oracle in bat/scalar_reference.h.
+// produce selection vectors over raw arrays, and outputs are built by bulk
+// gather/append — no per-row Value boxing anywhere on the hot path. Joins
+// take one of three paths: a positional fetch when the right head is dense
+// (the re-alignment leftjoin every SQL plan runs per column), a merge when
+// both join columns are sorted, and otherwise a probe of a flat
+// open-addressing table on int64 keys. The pre-vectorization row-at-a-time
+// implementations live on as the differential-test oracle in
+// bat/scalar_reference.h; it has no fetch path, so the oracle checks the
+// fetch join against an independent algorithm.
 //
 // Large inputs run morsel-parallel on the shared exec::Executor (see the
 // MorselPlan machinery in bat/kernels.h): hash-join probes and membership
@@ -268,6 +272,46 @@ BatPtr HashJoinImpl(const Bat& l, const Bat& r) {
   return EmitJoin(l, r, li, ri);
 }
 
+/// Positional (fetch) join on a dense right head, MonetDB's void-head join:
+/// row i of l matches row l.tail[i] - seqbase of r when that lies in
+/// [0, |r|). A dense head is sorted and key-unique, so this emits exactly the
+/// pairs, in exactly the order, of the merge and hash paths, in one O(|l|)
+/// pass plus one gather.
+BatPtr FetchJoinImpl(const Bat& l, const Bat& r) {
+  std::vector<int64_t> scratch;
+  const Span<int64_t> keys = kernels::Int64KeySpan(*l.tail(), &scratch);
+  const size_t n = keys.size;
+  const uint64_t seq = r.HeadSeqbase();
+  const uint64_t rn = r.size();
+  DCY_DCHECK(rn < FlatTable::kNone);
+  // idx[i] = key - seq, or kNone when out of range. The unsigned wrap maps
+  // keys below seq past rn, so one compare checks both ends.
+  SelVec idx(n);
+  uint32_t* out = idx.data();
+  size_t hits = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t off = static_cast<uint64_t>(keys[i]) - seq;
+    const bool in = off < rn;
+    out[i] = in ? static_cast<uint32_t>(off) : FlatTable::kNone;
+    hits += in ? 1 : 0;
+  }
+  if (hits == n) {
+    return BatPtr(std::make_shared<Bat>(
+        l.head(), kernels::Gather(*r.tail(), idx.data(), n), HeadOrderedProps(l)));
+  }
+  // Some keys miss r: keep only the matching rows of both sides.
+  SelVec li;
+  li.reserve(hits);
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (idx[i] == FlatTable::kNone) continue;
+    idx[k++] = idx[i];
+    li.push_back(static_cast<uint32_t>(i));
+  }
+  idx.resize(k);
+  return EmitJoin(l, r, li, idx);
+}
+
 Status CheckNumeric(const Bat& b, const char* op) {
   if (b.tail_type() == ValType::kStr) {
     return Status::InvalidArgument(std::string(op) + " on string tail");
@@ -359,6 +403,9 @@ Result<BatPtr> Slice(const BatPtr& b, size_t lo, size_t hi) {
 
 Result<BatPtr> Join(const BatPtr& l, const BatPtr& r) {
   DCY_RETURN_NOT_OK(CheckJoinable(l->tail_type(), r->head_type()));
+  // A dense head is an oid, so CheckJoinable has put l's tail in the
+  // integer family.
+  if (r->HasDenseHead()) return FetchJoinImpl(*l, *r);
   if (l->props().tsorted && r->props().hsorted) {
     return MergeJoinImpl(*l, *r);
   }
@@ -366,8 +413,8 @@ Result<BatPtr> Join(const BatPtr& l, const BatPtr& r) {
 }
 
 Result<BatPtr> LeftJoin(const BatPtr& l, const BatPtr& r) {
-  // Our hash join probes l in order already; merge join also preserves l
-  // order for key-unique r.
+  // Every path emits matches in l's row order: fetch and hash walk l, and
+  // merge does too for a key-unique r.
   return Join(l, r);
 }
 

@@ -30,12 +30,14 @@ Result<BatPtr> Slice(const BatPtr& b, size_t lo, size_t hi);
 // ---- joins -----------------------------------------------------------------
 
 /// join(l, r): { [l.head, r.tail] : l.tail == r.head } — the classic BAT
-/// equi-join. Picks merge join when both join columns are sorted, hash join
-/// otherwise (paper §3.1). Types of l.tail and r.head must match.
+/// equi-join, on one of three paths (paper §3.1). A dense r head is fetched
+/// by position: row i of l meets row l.tail[i] - seqbase of r, one gather in
+/// O(|l|). Otherwise merge join when both join columns are sorted, hash join
+/// when not. Types of l.tail and r.head must match.
 Result<BatPtr> Join(const BatPtr& l, const BatPtr& r);
 
 /// leftjoin(l, r): like join but guarantees l's row order in the output
-/// (our hash join probes l in order, so this is join with order asserted).
+/// (every path walks l in order, so this is join with order asserted).
 Result<BatPtr> LeftJoin(const BatPtr& l, const BatPtr& r);
 
 /// semijoin(l, r): rows of l whose head appears in r's head.

@@ -17,7 +17,8 @@ Result<BatPtr> Select(const BatPtr& b, const Value& v);
 Result<BatPtr> SelectRange(const BatPtr& b, const Value& lo, const Value& hi);
 
 /// join(l, r): merge join when both join columns are sorted, hash join
-/// otherwise, exactly as the vectorized Join dispatches.
+/// otherwise. There is no positional path for a dense r head: the oracle
+/// checks the engine's fetch join against merge and hash.
 Result<BatPtr> Join(const BatPtr& l, const BatPtr& r);
 
 /// semijoin / kdiff / kunion on head membership.

@@ -104,6 +104,18 @@ constexpr ValType kAllTypes[] = {ValType::kOid, ValType::kInt, ValType::kLng,
 constexpr Shape kAllShapes[] = {Shape::kEmpty, Shape::kRandom, Shape::kDupHeavy,
                                 Shape::kSorted};
 
+/// Forces the morsel engine on at toy sizes: a 64-row morsel and a 128-row
+/// fallback threshold, so inputs straddle the parallel cutoff.
+exec::ExecPolicy TinyMorselPolicy(size_t workers) {
+  exec::ExecPolicy p;
+  p.workers = workers;
+  p.morsel_rows = 64;
+  p.min_parallel_rows = 128;
+  return p;
+}
+
+constexpr size_t kParallelWorkerCounts[] = {1, 2, 8};
+
 // ---- differential sweeps -----------------------------------------------------
 
 class KernelDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -162,6 +174,111 @@ TEST_P(KernelDifferentialTest, JoinMatchesScalar) {
                                   /*scan_props=*/true));
       ASSERT_TRUE(ls->props().tsorted && rs->props().hsorted);
       ExpectSameResult(Join(ls, rs), scalar::Join(ls, rs), ctx + " merge");
+    }
+  }
+}
+
+// Join and LeftJoin answer a dense right head by position. The sweep above
+// builds every right side with Reverse, so none of its right heads is dense;
+// this one builds r = [dense s.., tail] and checks the fetch path against the
+// oracle's merge and hash joins.
+
+enum class FetchShape { kRandom, kInRange, kSorted, kDenseTail };
+
+const char* FetchShapeName(FetchShape s) {
+  switch (s) {
+    case FetchShape::kRandom: return "random";
+    case FetchShape::kInRange: return "in-range";
+    case FetchShape::kSorted: return "sorted";
+    case FetchShape::kDenseTail: return "dense-tail";
+  }
+  return "?";
+}
+
+/// r = [dense s.., tail]; `dict` makes the string tail dictionary-coded.
+BatPtr DenseHeadedBat(ValType type, bool dict, Oid s, size_t n, Rng* rng) {
+  if (!dict) return Bat::MakeColumn(RandomColumn(type, Shape::kRandom, n, rng), s);
+  auto words = std::make_shared<StrColumn>(std::vector<uint32_t>{0, 0, 1, 3, 4, 6},
+                                           std::string("abbcdd"));  // "", a, bb, c, dd
+  std::vector<uint32_t> codes(n);
+  for (auto& c : codes) c = static_cast<uint32_t>(rng->UniformU64(0, words->size() - 1));
+  return Bat::MakeColumn(std::make_shared<DictStrColumn>(words, std::move(codes)), s);
+}
+
+/// A probe key against r = [dense s.., |r| = rn]: mostly in range, otherwise
+/// below s, at or past s + rn, or negative (signed types).
+int64_t FetchKey(ValType t, Oid s, size_t rn, bool in_range_only, Rng* rng) {
+  const int64_t lo = static_cast<int64_t>(s);
+  const int64_t end = lo + static_cast<int64_t>(rn);
+  uint64_t pick = in_range_only ? 0 : rng->UniformU64(0, 9);
+  if (rn == 0 && pick < 7) pick = 8;
+  if (pick < 7) return rng->UniformInt(lo, end - 1);
+  if (pick == 7 && lo > 0) return rng->UniformInt(0, lo - 1);
+  if (pick == 9 && t != ValType::kOid) return -rng->UniformInt(1, 1000);
+  return rng->UniformInt(end, end + 50);
+}
+
+/// l = [head, integer tail of type t] of n rows shaped against r. Random keys
+/// repeat; kSorted scans its properties (the flags that select the merge
+/// path); kDenseTail is an oid range starting at, inside, or below r's head
+/// (past it when s < 5).
+BatPtr FetchProbe(ValType t, FetchShape shape, size_t n, Oid s, size_t rn, Rng* rng) {
+  ColumnPtr tail;
+  if (shape == FetchShape::kDenseTail) {
+    const Oid starts[] = {s, s + rn / 2, s >= 5 ? s - 5 : s + rn};
+    tail = MakeDenseOid(starts[rng->UniformU64(0, 2)], n);
+  } else {
+    std::vector<int64_t> keys(n);
+    for (auto& k : keys) k = FetchKey(t, s, rn, shape == FetchShape::kInRange, rng);
+    if (shape == FetchShape::kSorted) std::sort(keys.begin(), keys.end());
+    ColumnBuilder b(t);
+    for (int64_t k : keys) b.AppendInt64(k);
+    tail = b.Finish();
+  }
+  ColumnPtr head = rng->UniformU64(0, 1) == 0
+                       ? MakeDenseOid(rng->UniformU64(0, 100), n)
+                       : RandomColumn(ValType::kStr, Shape::kRandom, n, rng);
+  const Bat::Properties props = shape == FetchShape::kSorted
+                                    ? Bat::ScanProperties(*head, *tail)
+                                    : Bat::Properties{};
+  return std::make_shared<Bat>(std::move(head), std::move(tail), props);
+}
+
+TEST_P(KernelDifferentialTest, FetchJoinMatchesScalar) {
+  constexpr ValType kIntegerTypes[] = {ValType::kOid, ValType::kInt, ValType::kLng,
+                                       ValType::kDate};
+  constexpr FetchShape kFetchShapes[] = {FetchShape::kRandom, FetchShape::kInRange,
+                                         FetchShape::kSorted, FetchShape::kDenseTail};
+  for (size_t workers : kParallelWorkerCounts) {
+    exec::ScopedExecPolicy scoped(TinyMorselPolicy(workers));
+    Rng rng(GetParam() * 2246822519ULL + workers);
+    for (Oid s : {Oid{0}, Oid{7}, Oid{1000}}) {
+      for (ValType rt : kAllTypes) {
+        for (bool dict : {false, true}) {
+          if (dict && rt != ValType::kStr) continue;
+          // Sizes straddle the 128-row morsel cutoff, so gathers run per morsel.
+          const size_t rn = rng.UniformU64(1, 400);
+          auto r = DenseHeadedBat(rt, dict, s, rn, &rng);
+          auto empty_r = DenseHeadedBat(rt, dict, s, 0, &rng);
+          for (ValType lt : kIntegerTypes) {
+            for (FetchShape shape : kFetchShapes) {
+              if (shape == FetchShape::kDenseTail && lt != ValType::kOid) continue;
+              const std::string ctx =
+                  "fetch w" + std::to_string(workers) + " s" + std::to_string(s) + " r[" +
+                  (dict ? "dict" : ValTypeName(rt)) + " #" + std::to_string(rn) + "] l[" +
+                  ValTypeName(lt) + " " + FetchShapeName(shape) + "]";
+              auto l = FetchProbe(lt, shape, rng.UniformU64(1, 400), s, rn, &rng);
+              ExpectSameResult(Join(l, r), scalar::Join(l, r), ctx + " join");
+              ExpectSameResult(LeftJoin(l, r), scalar::Join(l, r), ctx + " leftjoin");
+              auto empty_l = FetchProbe(lt, shape, 0, s, rn, &rng);
+              ExpectSameResult(Join(empty_l, r), scalar::Join(empty_l, r),
+                               ctx + " empty l");
+              ExpectSameResult(Join(l, empty_r), scalar::Join(l, empty_r),
+                               ctx + " empty r");
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -348,15 +465,6 @@ TEST(OperatorPropsTest, DoubleGidsTruncateLikeGetInt64) {
 // stitched parallel output must stay bit-identical). Floating-point sums
 // re-associate per morsel, so those compare to tolerance instead.
 
-exec::ExecPolicy TinyMorselPolicy(size_t workers) {
-  exec::ExecPolicy p;
-  p.workers = workers;
-  p.morsel_rows = 64;
-  p.min_parallel_rows = 128;
-  return p;
-}
-
-constexpr size_t kParallelWorkerCounts[] = {1, 2, 8};
 // Straddles min_parallel_rows = 128 (and morsel boundaries at 64).
 constexpr size_t kStraddleSizes[] = {90, 127, 128, 129, 1000};
 

@@ -70,6 +70,27 @@ def validate_resilience_case(path: str, case: dict) -> None:
             f"on a fault-free fabric (bound {bound:.0f})"
 
 
+# The fetch-join rows (bench_micro_engine): Join answers a dense right head
+# by position. fetch_join/<n> and its fetch_join_keyed/<n> twin join the same
+# data in the same run, the twin through the merge path, so their ratio does
+# not depend on the host. A dispatch that stops recognising dense heads brings
+# it to about 1.
+FETCH_JOIN_MAX_RATIO = 0.5
+
+
+def validate_fetch_join_cases(path: str, cases: list) -> None:
+    p50 = {case["name"]: case["p50_ns"] for case in cases}
+    for name, fetch in p50.items():
+        if not name.startswith("fetch_join/"):
+            continue
+        twin = "fetch_join_keyed/" + name[len("fetch_join/"):]
+        assert twin in p50, f"{path}: {name} has no {twin} row"
+        assert fetch <= FETCH_JOIN_MAX_RATIO * p50[twin], \
+            f"{path}: {name} p50 {fetch / 1e6:.3f} ms exceeds " \
+            f"{FETCH_JOIN_MAX_RATIO} x {twin} p50 {p50[twin] / 1e6:.3f} ms " \
+            f"(dense right head not fetched by position?)"
+
+
 def validate_updates_case(path: str, case: dict) -> None:
     m = case.get("metrics", {})
     for key in UPDATES_METRIC_KEYS:
@@ -96,6 +117,7 @@ def validate(path: str) -> None:
             validate_bandwidth_case(path, case)
         if case["name"] == "resilience":
             validate_resilience_case(path, case)
+    validate_fetch_join_cases(path, doc["cases"])
 
 
 def main() -> int:
