@@ -514,10 +514,6 @@ int main(int argc, char** argv) {
                       static_cast<double>(wm.compactions_abandoned);
                   rep.metrics["snapshots_rejected"] =
                       static_cast<double>(wm.snapshots_rejected);
-                  rep.metrics["delta_frames_forwarded"] =
-                      static_cast<double>(wm.delta_frames_forwarded);
-                  rep.metrics["delta_bytes_on_ring"] =
-                      static_cast<double>(wm.delta_bytes_on_ring);
                   rep.metrics["current_version"] =
                       static_cast<double>(wm.current_version);
                   rep.metrics["pending_deltas"] =

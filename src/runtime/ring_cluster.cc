@@ -20,25 +20,6 @@ namespace {
 constexpr uint32_t kOpBat = 1;
 constexpr uint32_t kOpRequest = 2;
 constexpr uint32_t kOpCtrl = 3;
-constexpr uint32_t kOpDelta = 4;
-
-/// Envelope + routing header of a circulating delta frame (ISSUE-9): the
-/// payload is one write::SerializeDelta wire image. Deltas ride the data
-/// channel and share its go-back-N sequence space with BAT frames, so loss,
-/// reordering, and corruption are handled by the same hop machinery. Padded
-/// to sizeof(net::DataFrame): the drain loop's coalesced-ACK scan filters on
-/// that size, and the envelope sits at offset 0 in both frames.
-struct DeltaFrame {
-  net::FrameHeader frame;
-  uint32_t fragment = 0;  ///< base fragment the delta applies to
-  uint32_t origin = 0;    ///< committing node; circulation ends back there
-  uint64_t version = 0;   ///< commit version (purged once folded into a base)
-  uint32_t hops = 0;      ///< hops travelled (orphan bound when origin dies)
-  uint32_t reserved = 0;
-  uint64_t pad[2] = {0, 0};
-};
-static_assert(sizeof(DeltaFrame) == sizeof(net::DataFrame),
-              "DeltaFrame must match DataFrame for the shared ACK scan");
 
 // Headers ride in the channel's fixed-capacity inline MetaBlob — no
 // per-message std::string allocation on either side of a hop. Since this PR
@@ -70,22 +51,6 @@ uint32_t HeaderCrc(const core::BatHeader& h) {
   put(&h.copies, sizeof(h.copies));
   put(&h.hops, sizeof(h.hops));
   put(&h.cycles, sizeof(h.cycles));
-  return bat::Crc32(buf, off);
-}
-
-/// CRC over the per-hop mutable part of a delta frame (hops change per hop,
-/// so each hop re-wraps, exactly like BAT frames).
-uint32_t DeltaHeaderCrc(const DeltaFrame& df) {
-  unsigned char buf[24] = {};
-  size_t off = 0;
-  const auto put = [&](const void* p, size_t n) {
-    std::memcpy(buf + off, p, n);
-    off += n;
-  };
-  put(&df.fragment, sizeof(df.fragment));
-  put(&df.origin, sizeof(df.origin));
-  put(&df.version, sizeof(df.version));
-  put(&df.hops, sizeof(df.hops));
   return bat::Crc32(buf, off);
 }
 
@@ -164,18 +129,6 @@ class RingCluster::Node final : public core::DcEnv {
     uint64_t orphan_frames_dropped = 0;
     uint64_t frames_adopted = 0;
     uint64_t decode_failures = 0;
-  };
-
-  /// Wire-compression bookkeeping of this node's serialize/send path.
-  struct WireMetrics {
-    uint64_t frames_encoded = 0;
-    uint64_t raw_bytes = 0;
-    uint64_t wire_bytes = 0;
-    uint64_t hops = 0;
-    uint64_t hop_bytes = 0;
-    uint64_t dict_columns = 0;
-    uint64_t for_columns = 0;
-    uint64_t plain_columns = 0;
   };
 
   Node(RingCluster* cluster, core::NodeId id)
@@ -272,18 +225,10 @@ class RingCluster::Node final : public core::DcEnv {
     out->decode_failures += hop_.decode_failures;
   }
 
-  /// Service-thread-owned wire-compression counters, summed. Call via
-  /// PostSync (or any serialized context on a crashed node).
-  void SnapshotBandwidth(RingCluster::BandwidthMetrics* out) const {
-    out->frames_encoded += wire_.frames_encoded;
-    out->raw_bytes += wire_.raw_bytes;
-    out->wire_bytes += wire_.wire_bytes;
-    out->hops += wire_.hops;
-    out->hop_bytes += wire_.hop_bytes;
-    out->dict_columns += wire_.dict_columns;
-    out->for_columns += wire_.for_columns;
-    out->plain_columns += wire_.plain_columns;
-  }
+  /// Service-thread-owned wire-compression counters of this node's
+  /// serialize/send path. Read via PostSync (or any serialized context on a
+  /// crashed node).
+  const BandwidthMetrics& wire() const { return wire_; }
 
   // ---- lifecycle -------------------------------------------------------------
 
@@ -695,31 +640,21 @@ class RingCluster::Node final : public core::DcEnv {
   }
 
   /// Pin via the two-tier store with fault-in, retrying once through a ring
-  /// re-fetch when the spill image turned out corrupt. Runs on a query
-  /// runner thread (never the service thread) — the disk read may block.
+  /// re-fetch when the spill image turned out corrupt (Corruption) or the
+  /// frame is gone (NotFound: a fold's republish dropped it and has not yet
+  /// re-admitted it). Runs on a query runner thread (never the service
+  /// thread) — the disk read may block.
   Result<bat::BatPtr> PinStored(core::BatId bat,
                                 std::chrono::steady_clock::time_point deadline) {
     auto pinned = store_.Pin(bat, deadline);
-    if (pinned.ok() || pinned.status().code() != StatusCode::kCorruption) {
+    if (pinned.ok()) return pinned;
+    if (pinned.status().code() == StatusCode::kCorruption) {
+      DCY_LOG(kWarn) << "node " << id_ << ": " << pinned.status().message();
+    } else if (pinned.status().code() != StatusCode::kNotFound) {
       return pinned;
     }
-    DCY_LOG(kWarn) << "node " << id_ << ": " << pinned.status().message();
     DCY_RETURN_NOT_OK(cluster_->RefetchFragment(bat, this));
     return store_.Pin(bat, deadline);
-  }
-
-  /// Launches one committed delta onto the ring. Runs on a query-runner
-  /// thread: the serialization happens here (pooled frame, shared by every
-  /// hop zero-copy), only the send is posted to the service thread.
-  void PublishDelta(const write::DeltaPtr& d) {
-    auto frame = frame_pool_.Acquire(write::EncodedDeltaSize(*d));
-    write::SerializeDeltaInto(*d, frame.get());
-    const uint32_t payload_crc = bat::Crc32(frame->data(), frame->size());
-    rdma::Buffer payload = std::move(frame);
-    Post([this, fragment = d->fragment, version = d->version,
-          payload = std::move(payload), payload_crc] {
-      SendDeltaMsg(fragment, version, /*origin=*/id_, /*hops=*/0, payload, payload_crc);
-    });
   }
 
  private:
@@ -887,64 +822,8 @@ class RingCluster::Node final : public core::DcEnv {
     TrimDecoded();
   }
 
-  /// Sends one delta frame clockwise (service thread only). Shares the data
-  /// sender's sequence space, so ACK/NACK/retransmission come for free.
-  void SendDeltaMsg(core::BatId fragment, uint64_t version, core::NodeId origin,
-                    uint32_t hops, rdma::Buffer payload, uint32_t payload_crc) {
-    Node* succ = successor_.load(std::memory_order_acquire);
-    if (succ == nullptr || succ == this) return;
-    DeltaFrame df;
-    df.fragment = fragment;
-    df.origin = origin;
-    df.version = version;
-    df.hops = hops;
-    df.frame = data_out_.NextHeader(DeltaHeaderCrc(df) ^ payload_crc);
-    const rdma::MetaBlob meta = rdma::MetaBlob::Of(df);
-    if (succ->data_in()->Send(kOpDelta, meta, payload, id_)) {
-      data_out_.Track(kOpDelta, meta, std::move(payload), df.frame.seq, SteadyNowNs());
-    }
-  }
-
-  void HandleDeltaFrame(const rdma::Message& m) {
-    if (m.meta.size() < sizeof(DeltaFrame)) return;
-    const auto df = m.meta.As<DeltaFrame>();
-    if (!ValidFrame(df.frame, &data_rx_)) return;
-    const uint32_t header_crc = DeltaHeaderCrc(df);
-    const auto outcome =
-        data_rx_.OnFrame(df.frame, PayloadCrcOk(m, df.frame, header_crc));
-    if (outcome.send_nack) {
-      SendNack(df.frame.sender, net::kChData, outcome.nack_epoch, outcome.nack_seq);
-    }
-    if (outcome.verdict != net::ReliableReceiver::Verdict::kDeliver) return;
-    NoteHeardFrom(df.frame.sender);
-
-    // Full lap: the origin already holds the commit in the write log.
-    if (df.origin == id_) return;
-    write::WriteLog& log = cluster_->write_log_;
-    // Stale: the compactor folded this version into a base already.
-    if (df.version <= log.BaseVersionOf(df.fragment)) return;
-    if (!write::DeserializeDelta(*m.payload).ok()) {
-      // Hop CRC passed but the delta encoding itself is bad (corrupted at
-      // the source): count it, never forward garbage.
-      ++hop_.decode_failures;
-      log.NoteDeltaDecodeFailure();
-      return;
-    }
-    // Forward until the frame has passed every node. Termination is reaching
-    // the origin (above); the hop bound only reaps frames whose origin died.
-    if (df.hops + 1 >= OrphanHopBound()) {
-      ++hop_.orphan_frames_dropped;
-      return;
-    }
-    const uint32_t payload_crc =
-        df.frame.payload_crc ^ net::EnvelopeCrc(df.frame) ^ header_crc;
-    SendDeltaMsg(df.fragment, df.version, df.origin, df.hops + 1, m.payload,
-                 payload_crc);
-    log.NoteDeltaForwarded(m.payload->size());
-  }
-
-  /// Hops after which a frame whose owner (BAT) or origin (delta) died is
-  /// dropped as an orphan: one full lap plus slack for in-flight duplicates.
+  /// Hops after which a BAT frame whose owner died with no heir is dropped
+  /// as an orphan: two full laps plus slack for in-flight duplicates.
   uint32_t OrphanHopBound() const { return 2 * cluster_->options_.num_nodes + 4; }
 
   /// Sends one coalesced cumulative ACK per distinct sender in a drained
@@ -1063,13 +942,7 @@ class RingCluster::Node final : public core::DcEnv {
       }
       drain_.clear();
       if (data_in_->TryReceiveAll(&drain_) > 0) {
-        for (rdma::Message& m : drain_) {
-          if (m.opcode == kOpDelta) {
-            HandleDeltaFrame(m);
-          } else {
-            HandleDataFrame(m);
-          }
-        }
+        for (const rdma::Message& m : drain_) HandleDataFrame(m);
         AckDrainedBatch<net::DataFrame>(drain_, net::kChData, data_rx_);
         drain_.clear();  // release payload references promptly
         did_work = true;
@@ -1176,7 +1049,7 @@ class RingCluster::Node final : public core::DcEnv {
   net::ReliableReceiver data_rx_;  // frames from predecessor(s)
   net::ReliableReceiver req_rx_;   // frames from successor(s)
   HopMetrics hop_;
-  WireMetrics wire_;
+  BandwidthMetrics wire_;
   SimTime last_heard_succ_ = 0;
   SimTime last_heard_pred_ = 0;
 
@@ -1288,10 +1161,13 @@ class SessionHooks final : public mal::DcHooks {
           immediate.set_value(*local);
           return;
         }
-        if (local.status().code() == StatusCode::kFailedPrecondition) {
-          // Spilled: fault it in from the disk tier on this runner thread
-          // (the whole pin instruction already runs under a BlockingScope,
-          // so the executor backfills the blocked slot).
+        if (local.status().code() == StatusCode::kFailedPrecondition ||
+            node_->dc().owned().Find(bat) != nullptr) {
+          // Spilled, or owned but not in the store (a fold's republish sits
+          // between its Drop and Admit): fault it in from the disk tier or
+          // the cluster registry on this runner thread (the whole pin
+          // instruction already runs under a BlockingScope, so the executor
+          // backfills the blocked slot).
           fault_in = true;
           immediate.set_value(local.status());
           return;
@@ -1418,14 +1294,13 @@ class SessionHooks final : public mal::DcHooks {
 };
 
 /// The sql.wappend / sql.wcommit / sql.wdelete hooks of one query execution:
-/// columns buffer locally, commits go to the cluster write log (the single
-/// commit authority), and the published deltas are launched onto the ring
-/// from this query's node. Thread-safe: an INSERT plan's wappend instructions
-/// run on concurrent dataflow workers.
+/// columns buffer locally and commits go to the cluster write log, the single
+/// commit authority that every later pin resolves through. Thread-safe: an
+/// INSERT plan's wappend instructions run on concurrent dataflow workers.
 class QueryWriteHooks final : public mal::WriteHooks {
  public:
-  QueryWriteHooks(RingCluster* cluster, RingCluster::Node* node, uint64_t snapshot)
-      : cluster_(cluster), node_(node), snapshot_(snapshot) {}
+  QueryWriteHooks(RingCluster* cluster, uint64_t snapshot)
+      : cluster_(cluster), snapshot_(snapshot) {}
 
   Result<int64_t> BufferColumn(const std::string& table, const std::string& column,
                                std::vector<bat::Value> values) override {
@@ -1462,7 +1337,7 @@ class QueryWriteHooks final : public mal::WriteHooks {
     }
     DCY_ASSIGN_OR_RETURN(write::CommitResult cr,
                          cluster_->write_log().CommitInsert(table, cols));
-    Publish(cr);
+    NoteCommit(cr.version);
     return cr.rows;
   }
 
@@ -1478,7 +1353,7 @@ class QueryWriteHooks final : public mal::WriteHooks {
     }
     DCY_ASSIGN_OR_RETURN(write::CommitResult cr,
                          cluster_->write_log().CommitDeleteAt(table, offsets, snapshot_));
-    Publish(cr);
+    NoteCommit(cr.version);
     return cr.rows;
   }
 
@@ -1488,17 +1363,15 @@ class QueryWriteHooks final : public mal::WriteHooks {
   }
 
  private:
-  void Publish(const write::CommitResult& cr) {
+  void NoteCommit(uint64_t version) {
     uint64_t seen = commit_version_.load(std::memory_order_relaxed);
-    while (seen < cr.version &&
-           !commit_version_.compare_exchange_weak(seen, cr.version,
+    while (seen < version &&
+           !commit_version_.compare_exchange_weak(seen, version,
                                                   std::memory_order_relaxed)) {
     }
-    for (const auto& d : cr.published) node_->PublishDelta(d);
   }
 
   RingCluster* cluster_;
-  RingCluster::Node* node_;
   const uint64_t snapshot_;
   std::atomic<uint64_t> commit_version_{0};
   std::mutex mu_;
@@ -1577,7 +1450,6 @@ Status RingCluster::LoadBat(core::NodeId owner, const std::string& name, bat::Ba
                                                    /*initial_pins=*/0,
                                                    std::chrono::milliseconds(10000)));
     directory_[name] = id;
-    sizes_[id] = size;
     column_types_[name] = tail_type;
     fragments_[id] = FragmentInfo{name, owner, size, bat};
   }
@@ -1591,7 +1463,6 @@ Status RingCluster::LoadBat(core::NodeId owner, const std::string& name, bat::Ba
     std::lock_guard<std::mutex> lock(directory_mu_);
     nodes_[owner]->store().Drop(id);
     directory_.erase(name);
-    sizes_.erase(id);
     column_types_.erase(name);
     fragments_.erase(id);
     return write_reg;
@@ -1716,15 +1587,16 @@ void RingCluster::CompactionPass(core::NodeId node) {
           it->second.loader = base;
           it->second.size = bytes;
         }
-        sizes_[id] = bytes;
       }
       if (!IsNodeAlive(node)) break;  // crashed between commit and republish
+      // A pin landing between Drop and Admit re-fetches the new base from
+      // the registry (updated above); its copy then wins the race and this
+      // Admit reports AlreadyExists, which is success.
       owner_node->store().Drop(id);
       Status admitted = owner_node->store().Admit(id, fname, base, /*durable=*/true,
                                                   /*initial_pins=*/0,
-                                                  std::chrono::milliseconds(10000),
-                                                  folded->new_version);
-      if (!admitted.ok()) {
+                                                  std::chrono::milliseconds(10000));
+      if (!admitted.ok() && admitted.code() != StatusCode::kAlreadyExists) {
         // The registry still carries the folded payload; the next pin
         // refetches it from there.
         DCY_LOG(kWarn) << "republish of folded fragment " << fname
@@ -1845,8 +1717,7 @@ void RingCluster::HandleDeadFragments(core::NodeId suspect, core::NodeId heir) {
       // death); AlreadyExists just means the payload is still registered.
       Status reg = heir_node->store().Admit(r.id, r.name, r.loader, /*durable=*/true,
                                             /*initial_pins=*/0,
-                                            std::chrono::milliseconds(5000),
-                                            write_log_.BaseVersionOf(r.id));
+                                            std::chrono::milliseconds(5000));
       if (!reg.ok() && reg.code() != StatusCode::kAlreadyExists) {
         DCY_LOG(kError) << "re-home of fragment " << r.name << " failed: "
                         << reg.ToString();
@@ -1887,8 +1758,7 @@ Status RingCluster::RefetchFragment(core::BatId bat, Node* node) {
   }
   Status admitted = node->store().Admit(bat, name, loader, /*durable=*/true,
                                         /*initial_pins=*/0,
-                                        std::chrono::milliseconds(5000),
-                                        write_log_.BaseVersionOf(bat));
+                                        std::chrono::milliseconds(5000));
   if (admitted.code() == StatusCode::kAlreadyExists) return Status::OK();
   if (admitted.ok()) node->store().NoteRefetched();
   return admitted;
@@ -1940,32 +1810,18 @@ Status RingCluster::RestartNode(core::NodeId node) {
   // Re-introduce the node's surviving fragments (those not re-homed while
   // it was down) to its fresh protocol state.
   std::vector<std::pair<core::BatId, uint64_t>> owned;
-  struct Refetch {
-    core::BatId id;
-    std::string name;
-    bat::BatPtr loader;
-  };
-  std::vector<Refetch> refetches;
   {
     std::lock_guard<std::mutex> lock(directory_mu_);
     for (const auto& [id, info] : fragments_) {
-      if (info.owner != node) continue;
-      owned.emplace_back(id, info.size);
-      if (!comer->store().Contains(id)) {
-        refetches.push_back(Refetch{id, info.name, info.loader});
-      }
+      if (info.owner == node) owned.emplace_back(id, info.size);
     }
   }
-  for (const auto& r : refetches) {
-    Status refetched = comer->store().Admit(r.id, r.name, r.loader, /*durable=*/true,
-                                            /*initial_pins=*/0,
-                                            std::chrono::milliseconds(5000),
-                                            write_log_.BaseVersionOf(r.id));
-    if (refetched.ok()) {
-      comer->store().NoteRefetched();
-    } else if (refetched.code() != StatusCode::kAlreadyExists) {
-      DCY_LOG(kError) << "node " << node << " cannot re-materialize fragment "
-                      << r.name << ": " << refetched.ToString();
+  for (const auto& [id, size] : owned) {
+    if (comer->store().Contains(id)) continue;
+    Status refetched = RefetchFragment(id, comer);
+    if (!refetched.ok()) {
+      DCY_LOG(kError) << "node " << node << " cannot re-materialize fragment " << id
+                      << ": " << refetched.ToString();
     }
   }
   comer->PostSync([&] {
@@ -2000,11 +1856,22 @@ RingCluster::ResilienceMetrics RingCluster::Resilience() const {
   return out;
 }
 
+void RingCluster::BandwidthMetrics::Add(const BandwidthMetrics& other) {
+  frames_encoded += other.frames_encoded;
+  raw_bytes += other.raw_bytes;
+  wire_bytes += other.wire_bytes;
+  hops += other.hops;
+  hop_bytes += other.hop_bytes;
+  dict_columns += other.dict_columns;
+  for_columns += other.for_columns;
+  plain_columns += other.plain_columns;
+}
+
 RingCluster::BandwidthMetrics RingCluster::Bandwidth() const {
   BandwidthMetrics out;
   for (const auto& node : nodes_) {
     Node* n = node.get();
-    n->PostSync([n, &out] { n->SnapshotBandwidth(&out); });
+    n->PostSync([n, &out] { out.Add(n->wire()); });
   }
   return out;
 }
@@ -2121,7 +1988,7 @@ Result<QueryResult> RingCluster::RunQuery(Node* node, const PreparedQuery& plan,
 
   mal::ExportSink exported;
   SessionHooks hooks(this, node, state->id, &state->cancel, snapshot);
-  QueryWriteHooks write_hooks(this, node, snapshot);
+  QueryWriteHooks write_hooks(this, snapshot);
   // No ctx.catalog: a DC-optimized plan has no sql.bind left, so every read
   // is a pin resolved through the write log (SessionHooks::Pin).
   mal::Context ctx;

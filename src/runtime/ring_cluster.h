@@ -163,16 +163,18 @@ class RingCluster {
   /// reflected in previously returned schemas.
   sql::Schema SqlSchema() const;
 
-  // ---- writes (ISSUE-9: versioned fragments + circulating deltas) ----------
+  // ---- writes: versioned fragments resolved through the write log ---------
 
   /// The cluster write log: commit authority for INSERT/DELETE, versioned
-  /// fragment views, and the fold machinery. Exposed for tests and tools
+  /// fragment views, and the fold machinery. A commit reaches readers only
+  /// through it: the ring carries base fragments, and every pin resolves
+  /// its fragment here at the query's snapshot. Exposed for tests and tools
   /// (SetFoldHookForTest, TableVersions); queries go through SQL/MAL.
   write::WriteLog& write_log() { return write_log_; }
   const write::WriteLog& write_log() const { return write_log_; }
 
-  /// Write-subsystem counters (deltas published/merged/folded, ring
-  /// circulation, compactions).
+  /// Write-subsystem counters (deltas published/merged/folded,
+  /// compactions).
   write::WriteMetrics Writes() const { return write_log_.Metrics(); }
   /// Per-table base/current versions and pending-delta gauges (dcsql
   /// \tables).
@@ -255,6 +257,9 @@ class RingCluster {
     uint64_t dict_columns = 0;
     uint64_t for_columns = 0;
     uint64_t plain_columns = 0;
+
+    /// Sums every counter of `other` into this (cluster aggregation).
+    void Add(const BandwidthMetrics& other);
   };
   BandwidthMetrics Bandwidth() const;
 
@@ -322,7 +327,6 @@ class RingCluster {
   /// Global name -> fragment directory (guarded by directory_mu_).
   mutable std::mutex directory_mu_;
   std::unordered_map<std::string, core::BatId> directory_;
-  std::unordered_map<core::BatId, uint64_t> sizes_;
   /// Cluster-level fragment registry: everything needed to re-materialize a
   /// fragment when its owner dies (guarded by directory_mu_).
   struct FragmentInfo {
@@ -360,8 +364,8 @@ class RingCluster {
   PlanCacheStats plan_cache_stats_;
 
   // ---- the write subsystem --------------------------------------------------
-  /// Cluster-level commit log (thread-safe on its own mutex). Nodes only
-  /// forward circulating delta frames; every read resolves its deltas here.
+  /// Cluster-level commit log (thread-safe on its own mutex). No node keeps
+  /// or forwards a commit; every pin resolves its fragment's deltas here.
   write::WriteLog write_log_;
   /// Background compactors, one per node, owned by the cluster (never by
   /// the node threads: CrashNode must not join them). Started in Start(),

@@ -314,7 +314,7 @@ void FragmentStore::SpillThreadLoop() {
 
 Status FragmentStore::Admit(core::BatId id, const std::string& name, bat::BatPtr bat,
                             bool durable, uint32_t initial_pins,
-                            std::chrono::milliseconds max_wait, uint64_t version) {
+                            std::chrono::milliseconds max_wait) {
   DCY_CHECK(bat != nullptr);
   const uint64_t bytes = bat->ByteSize();
   std::unique_lock<std::mutex> lock(mu_);
@@ -342,7 +342,6 @@ Status FragmentStore::Admit(core::BatId id, const std::string& name, bat::BatPtr
   f.bytes = bytes;
   f.pins = initial_pins;
   f.durable = durable;
-  f.version = version;
   frames_.emplace(id, std::move(f));
   if (!name.empty()) by_name_.emplace(name, id);
   resident_bytes_ += bytes;
@@ -355,8 +354,7 @@ Status FragmentStore::Admit(core::BatId id, const std::string& name, bat::BatPtr
 }
 
 Result<bat::BatPtr> FragmentStore::PinInternal(
-    core::BatId id, std::chrono::steady_clock::time_point deadline, bool take_pin,
-    uint64_t* version) {
+    core::BatId id, std::chrono::steady_clock::time_point deadline, bool take_pin) {
   std::unique_lock<std::mutex> lock(mu_);
   if (deadline == std::chrono::steady_clock::time_point::max()) {
     // An unbounded wait would wedge the caller if spill I/O stalls; cap it
@@ -372,7 +370,6 @@ Result<bat::BatPtr> FragmentStore::PinInternal(
     interest_.Touch(id, NowSeconds());
     if (f.bat != nullptr) {
       if (take_pin) ++f.pins;
-      if (version != nullptr) *version = f.version;
       return f.bat;
     }
     // Spilled. If another thread is already reading it, wait for that read.
@@ -430,18 +427,16 @@ Result<bat::BatPtr> FragmentStore::PinInternal(
       counters_.promotion_bytes += h.bytes;
     }
     if (take_pin) ++h.pins;
-    if (version != nullptr) *version = h.version;
     return h.bat;
   }
 }
 
 Result<bat::BatPtr> FragmentStore::Pin(core::BatId id,
-                                       std::chrono::steady_clock::time_point deadline,
-                                       uint64_t* version) {
-  return PinInternal(id, deadline, /*take_pin=*/true, version);
+                                       std::chrono::steady_clock::time_point deadline) {
+  return PinInternal(id, deadline, /*take_pin=*/true);
 }
 
-Result<bat::BatPtr> FragmentStore::TryPinResident(core::BatId id, uint64_t* version) {
+Result<bat::BatPtr> FragmentStore::TryPinResident(core::BatId id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = frames_.find(id);
   if (it == frames_.end()) {
@@ -454,17 +449,7 @@ Result<bat::BatPtr> FragmentStore::TryPinResident(core::BatId id, uint64_t* vers
   }
   interest_.Touch(id, NowSeconds());
   ++f.pins;
-  if (version != nullptr) *version = f.version;
   return f.bat;
-}
-
-Result<uint64_t> FragmentStore::VersionOf(core::BatId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = frames_.find(id);
-  if (it == frames_.end()) {
-    return Status::NotFound("fragment " + std::to_string(id) + " not in the store");
-  }
-  return it->second.version;
 }
 
 void FragmentStore::Unpin(core::BatId id) {

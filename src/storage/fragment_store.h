@@ -110,32 +110,26 @@ class FragmentStore final : public bat::FragmentSource {
   /// simply dropped. `initial_pins` arrives pinned (the caller owns the
   /// matching Unpin calls). Waits up to `max_wait` for the eviction thread
   /// to make room; 0 fails fast with typed backpressure. AlreadyExists if
-  /// the id or name is taken.
-  /// `version` is the fragment's base version (ISSUE-9): compaction
-  /// republishes a folded fragment under the next version.
+  /// the id or name is taken. A fold republishes its new base with Drop then
+  /// Admit; readers of a written table resolve the write log's base, not
+  /// this payload.
   Status Admit(core::BatId id, const std::string& name, bat::BatPtr bat, bool durable,
                uint32_t initial_pins = 0,
-               std::chrono::milliseconds max_wait = std::chrono::milliseconds(0),
-               uint64_t version = 0);
+               std::chrono::milliseconds max_wait = std::chrono::milliseconds(0));
 
   /// Pins a fragment, faulting it in from the disk tier if spilled (counted
   /// as a promotion). Blocks up to `deadline` when the fault-in needs room;
   /// a pinned frame is never evicted. Corruption means the spill image was
   /// damaged — it has been deleted and the frame dropped; re-admit from the
-  /// ring and retry. When `version` is non-null it receives the frame's base
-  /// version under the same lock — pins resolve a (fragment, version) pair.
+  /// ring and retry.
   Result<bat::BatPtr> Pin(core::BatId id,
                           std::chrono::steady_clock::time_point deadline =
-                              std::chrono::steady_clock::time_point::max(),
-                          uint64_t* version = nullptr);
+                              std::chrono::steady_clock::time_point::max());
 
   /// Pin without any chance of I/O or blocking: value if the frame is
   /// resident, FailedPrecondition if spilled, NotFound if absent. For
   /// callers on latency-critical threads (the ring service loop).
-  Result<bat::BatPtr> TryPinResident(core::BatId id, uint64_t* version = nullptr);
-
-  /// The admitted base version of a fragment; NotFound for absent frames.
-  Result<uint64_t> VersionOf(core::BatId id) const;
+  Result<bat::BatPtr> TryPinResident(core::BatId id);
 
   /// Releases one pin. A no-op for unknown ids (the frame may have been
   /// force-dropped meanwhile).
@@ -199,7 +193,6 @@ class FragmentStore final : public bat::FragmentSource {
     bool on_disk = false;       ///< a valid spill file exists
     bool spill_queued = false;  ///< in the eviction thread's queue
     double ring_loi = 0.0;
-    uint64_t version = 0;       ///< base version (bumped by compaction)
   };
 
   double NowSeconds() const;
@@ -224,7 +217,7 @@ class FragmentStore final : public bat::FragmentSource {
   void SpillThreadLoop();
   Result<bat::BatPtr> PinInternal(core::BatId id,
                                   std::chrono::steady_clock::time_point deadline,
-                                  bool take_pin, uint64_t* version = nullptr);
+                                  bool take_pin);
 
   FragmentStoreOptions options_;
   const std::chrono::steady_clock::time_point epoch_;

@@ -73,7 +73,7 @@ Result<CommitResult> WriteLog::CommitInsert(
         std::to_string(columns.size()) + ")");
   }
   const size_t rows = columns.empty() ? 0 : columns.front().second.size();
-  if (rows == 0) return CommitResult{version_, 0, {}};
+  if (rows == 0) return CommitResult{version_, 0};
 
   // Reorder the provided columns into table registration order, coercing
   // each value to the column's physical type.
@@ -134,19 +134,7 @@ Result<CommitResult> WriteLog::CommitInsert(
   c.insert_row_ids = ids;
   c.deletes = std::make_shared<std::vector<uint64_t>>();
 
-  CommitResult out;
-  out.version = c.version;
-  out.rows = static_cast<int64_t>(rows);
-  out.published.reserve(t->columns.size());
-  for (size_t ci = 0; ci < t->columns.size(); ++ci) {
-    auto d = std::make_shared<DeltaBat>();
-    d->fragment = t->columns[ci].id;
-    d->version = c.version;
-    d->inserts = c.inserts[ci];
-    d->insert_row_ids = c.insert_row_ids;
-    d->deletes = c.deletes;
-    out.published.push_back(std::move(d));
-  }
+  const CommitResult out{c.version, static_cast<int64_t>(rows)};
   t->pending.push_back(std::move(c));
 
   metrics_.commits++;
@@ -183,7 +171,7 @@ Result<CommitResult> WriteLog::CommitDeleteAt(const std::string& table,
   std::lock_guard<std::mutex> lock(mu_);
   TableState* t = FindTableLocked(table);
   if (t == nullptr) return Status::NotFound("unknown table \"" + table + "\"");
-  if (positions.empty()) return CommitResult{version_, 0, {}};
+  if (positions.empty()) return CommitResult{version_, 0};
 
   const std::vector<uint64_t> view = ViewRowIdsLocked(*t, snapshot);
   auto dead = std::make_shared<std::vector<uint64_t>>();
@@ -201,7 +189,7 @@ Result<CommitResult> WriteLog::CommitDeleteAt(const std::string& table,
   }
   std::sort(dead->begin(), dead->end());
   dead->erase(std::unique(dead->begin(), dead->end()), dead->end());
-  if (dead->empty()) return CommitResult{version_, 0, {}};
+  if (dead->empty()) return CommitResult{version_, 0};
 
   Commit c;
   c.version = ++version_;
@@ -214,19 +202,7 @@ Result<CommitResult> WriteLog::CommitDeleteAt(const std::string& table,
   c.max_column_bytes = dead->size() * sizeof(uint64_t);
   for (uint64_t id : *dead) t->deleted.insert(id);
 
-  CommitResult out;
-  out.version = c.version;
-  out.rows = static_cast<int64_t>(dead->size());
-  out.published.reserve(t->columns.size());
-  for (size_t ci = 0; ci < t->columns.size(); ++ci) {
-    auto d = std::make_shared<DeltaBat>();
-    d->fragment = t->columns[ci].id;
-    d->version = c.version;
-    d->inserts = c.inserts[ci];
-    d->insert_row_ids = c.insert_row_ids;
-    d->deletes = c.deletes;
-    out.published.push_back(std::move(d));
-  }
+  const CommitResult out{c.version, static_cast<int64_t>(dead->size())};
   t->pending.push_back(std::move(c));
 
   metrics_.commits++;
@@ -263,14 +239,6 @@ void WriteLog::ReleaseSnapshot(uint64_t v) {
 uint64_t WriteLog::CurrentVersion() const {
   std::lock_guard<std::mutex> lock(mu_);
   return version_;
-}
-
-uint64_t WriteLog::BaseVersionOf(core::BatId fragment) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = fragment_index_.find(fragment);
-  if (it == fragment_index_.end()) return 0;
-  auto tit = tables_.find(it->second.first);
-  return tit == tables_.end() ? 0 : tit->second.base_version;
 }
 
 Result<bat::BatPtr> WriteLog::ResolveView(core::BatId fragment,
@@ -462,9 +430,6 @@ WriteMetrics WriteLog::Metrics() const {
       m.pending_delta_bytes += c.max_column_bytes * t.columns.size();
     }
   }
-  m.delta_frames_forwarded = delta_frames_forwarded_.load(std::memory_order_relaxed);
-  m.delta_bytes_on_ring = delta_bytes_on_ring_.load(std::memory_order_relaxed);
-  m.delta_decode_failures = delta_decode_failures_.load(std::memory_order_relaxed);
   return m;
 }
 
@@ -484,15 +449,6 @@ std::vector<TableVersionInfo> WriteLog::TableVersions() const {
     out.push_back(std::move(info));
   }
   return out;
-}
-
-void WriteLog::NoteDeltaForwarded(uint64_t wire_bytes) {
-  delta_frames_forwarded_.fetch_add(1, std::memory_order_relaxed);
-  delta_bytes_on_ring_.fetch_add(wire_bytes, std::memory_order_relaxed);
-}
-
-void WriteLog::NoteDeltaDecodeFailure() {
-  delta_decode_failures_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace dcy::write

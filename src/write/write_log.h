@@ -1,11 +1,12 @@
-// The versioned write subsystem of the ring: a cluster-level commit log of
-// immutable delta BATs plus the fold (compaction) machinery.
+// The versioned write subsystem of the ring: a cluster-level commit log plus
+// the fold (compaction) machinery.
 //
 // Model. Every writable table is a set of base fragments (one per column)
-// that fold up to a `base_version`, plus a list of pending commits, each an
-// immutable per-column delta (write/delta.h) under a monotone commit
-// version. Readers run at a snapshot version acquired at query start
-// (version-at-prepare): the view of a fragment at snapshot S is
+// that fold up to a `base_version`, plus a list of pending commits under
+// monotone commit versions. A commit stores its row ids once for the whole
+// table and one column of appended values per table column (the fragment's
+// delta; empty for a delete). Readers run at a snapshot version acquired at
+// query start (version-at-prepare): the view of a fragment at snapshot S is
 //
 //     base rows surviving every delete with version <= S
 //  ++ insert rows with version <= S surviving every delete with version <= S
@@ -17,9 +18,9 @@
 // IsSorted() memoization and the zero-copy serialization path never observe
 // a mutation.
 //
-// The WriteLog mirrors the cluster fragment registry's role as "the ring's
-// durable copy": circulating delta frames (runtime/ring_cluster.cc) are the
-// propagation mechanism, the log is the correctness anchor. Folding is
+// The log is the only way a commit reaches readers. The ring (paper §4)
+// circulates base fragments and nothing else; every pin resolves the
+// fragment it pinned through ResolveView at the query's snapshot. Folding is
 // atomic per table and bounded by the minimum active snapshot, so a running
 // query never sees a torn mix of old and new bases.
 #pragma once
@@ -41,7 +42,6 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "core/types.h"
-#include "write/delta.h"
 
 namespace dcy::write {
 
@@ -68,7 +68,7 @@ struct WriteMetrics {
   uint64_t commits = 0;
   uint64_t rows_inserted = 0;
   uint64_t rows_deleted = 0;
-  uint64_t deltas_published = 0;  ///< delta BATs created (per fragment per commit)
+  uint64_t deltas_published = 0;  ///< fragment deltas committed (columns per commit)
   uint64_t deltas_merged = 0;     ///< delta applications into pin-time views
   uint64_t deltas_folded = 0;     ///< deltas retired into new bases
   uint64_t merges = 0;            ///< merged views built
@@ -77,10 +77,6 @@ struct WriteMetrics {
   uint64_t compactions = 0;
   uint64_t compactions_abandoned = 0;  ///< folds dropped (owner died mid-fold)
   uint64_t snapshots_rejected = 0;     ///< reads under a folded-away snapshot
-  // Ring circulation of delta frames (maintained by the runtime).
-  uint64_t delta_frames_forwarded = 0;
-  uint64_t delta_bytes_on_ring = 0;
-  uint64_t delta_decode_failures = 0;
   // Gauges.
   uint64_t current_version = 0;
   uint64_t pending_deltas = 0;
@@ -91,9 +87,6 @@ struct WriteMetrics {
 struct CommitResult {
   uint64_t version = 0;  ///< commit version (readers at >= version see it)
   int64_t rows = 0;      ///< rows inserted/deleted
-  /// The per-fragment deltas published by this commit (empty when rows == 0);
-  /// the runtime sends these around the ring.
-  std::vector<DeltaPtr> published;
 };
 
 /// \brief One folded table: the new base fragments to republish.
@@ -162,10 +155,6 @@ class WriteLog {
   Result<bat::BatPtr> ResolveView(core::BatId fragment, const bat::BatPtr& pinned,
                                   uint64_t snapshot);
 
-  /// The base version of `fragment` (0 when unknown/unwritten); used by the
-  /// runtime to tag re-admitted fragments and purge stale ring deltas.
-  uint64_t BaseVersionOf(core::BatId fragment) const;
-
   // ---- folding (background compactor) ---------------------------------------
 
   /// Tables whose pending deltas crossed the thresholds — or sat idle for a
@@ -193,10 +182,6 @@ class WriteLog {
   std::vector<TableVersionInfo> TableVersions() const;
   /// True once any write committed (the read fast path's condition).
   bool HasWrites() const { return commit_count_.load(std::memory_order_relaxed) > 0; }
-
-  /// Ring-circulation accounting, called by the runtime's delta frames.
-  void NoteDeltaForwarded(uint64_t wire_bytes);
-  void NoteDeltaDecodeFailure();
 
  private:
   struct FragmentState {
@@ -249,11 +234,7 @@ class WriteLog {
 
   std::atomic<uint64_t> commit_count_{0};
 
-  // Metrics (guarded by mu_ except the ring-circulation atomics).
-  WriteMetrics metrics_;
-  std::atomic<uint64_t> delta_frames_forwarded_{0};
-  std::atomic<uint64_t> delta_bytes_on_ring_{0};
-  std::atomic<uint64_t> delta_decode_failures_{0};
+  WriteMetrics metrics_;  ///< guarded by mu_
 };
 
 }  // namespace dcy::write

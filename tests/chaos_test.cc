@@ -675,6 +675,74 @@ TEST_F(ChaosTest, AcknowledgedWritesSurviveCrashMidCompaction) {
 }
 
 // ---------------------------------------------------------------------------
+// A fold republishes each rebased fragment on its owner with Drop + Admit.
+// A pin on the owner that lands between the two must fault the folded base
+// in from the cluster registry, not fail NotFound (which no retry policy
+// retries). Folding after every commit, every 1 ms, makes that window hot.
+// ---------------------------------------------------------------------------
+
+TEST_F(ChaosTest, OwnerPinsSurviveFoldRepublish) {
+  auto opts = ChaosOptions(2);
+  opts.compaction.max_delta_count = 1;
+  opts.compaction.interval = FromMillis(1);
+  cluster = std::make_unique<RingCluster>(opts);
+  ASSERT_TRUE(cluster
+                  ->LoadBat(0, "sys.u.id",
+                            bat::Bat::MakeColumn(bat::MakeLngColumn({1, 2, 3})))
+                  .ok());
+  ASSERT_TRUE(cluster
+                  ->LoadBat(0, "sys.u.v",
+                            bat::Bat::MakeColumn(bat::MakeLngColumn({10, 20, 30})))
+                  .ok());
+  cluster->Start();
+  auto session = cluster->OpenSession(0);
+  ASSERT_TRUE(session.ok());
+
+  // Node 1 inserts one row per commit; insert plans pin nothing.
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> write_failures{0};
+  std::thread writer([&] {
+    auto session = cluster->OpenSession(1);
+    ASSERT_TRUE(session.ok());
+    for (int64_t id = 100; !stop.load(); ++id) {
+      auto r = session->Execute("insert into u values (" + std::to_string(id) + ", " +
+                                std::to_string(id * 10) + ")");
+      if (!r.ok()) write_failures.fetch_add(1);
+    }
+  });
+
+  // Node 0 owns both columns, so every pin of the count takes the owner's
+  // resident-store path. Only sys.u is written and every commit inserts one
+  // row, so the count at snapshot s is 3 + s.
+  SubmitOptions read_opts;
+  read_opts.retry.max_attempts = 3;
+  uint64_t reads = 0;
+  uint64_t failed = 0;
+  uint64_t wrong = 0;
+  std::string first_error;
+  const auto deadline = std::chrono::steady_clock::now() + milliseconds(10000);
+  while (std::chrono::steady_clock::now() < deadline) {
+    auto r = session->Execute("select count(*) from u;", read_opts);
+    ++reads;
+    if (!r.ok()) {
+      if (failed++ == 0) first_error = r.status().ToString();
+      continue;
+    }
+    const int64_t want = 3 + static_cast<int64_t>(r->snapshot_version);
+    if (r->result.ValueAt(0, 0).AsInt64() != want) ++wrong;
+  }
+  stop.store(true);
+  writer.join();
+
+  const auto m = cluster->Writes();
+  EXPECT_EQ(failed, 0u) << failed << " of " << reads << " reads failed over "
+                        << m.compactions << " folds; first: " << first_error;
+  EXPECT_EQ(wrong, 0u) << wrong << " of " << reads << " counts were wrong";
+  EXPECT_EQ(write_failures.load(), 0u);
+  EXPECT_GT(m.compactions, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Heartbeat accounting.
 // ---------------------------------------------------------------------------
 
