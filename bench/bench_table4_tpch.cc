@@ -36,6 +36,16 @@ using namespace dcy;  // NOLINT
 
 namespace {
 
+// Whether this binary was built with optimization (NDEBUG: Release and
+// RelWithDebInfo). The resend-rescue bound in tools/validate_bench_json.py
+// presumes one; in Debug and sanitizer builds a cold BAT's first delivery
+// can take longer than the resend timer's floor.
+#ifdef NDEBUG
+constexpr bool kOptimizedBuild = true;
+#else
+constexpr bool kOptimizedBuild = false;
+#endif
+
 std::string Fmt(const char* format, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), format, v);
@@ -173,6 +183,7 @@ int main(int argc, char** argv) {
   runtime::Session session = *session_or;
 
   int failures = 0;
+  uint64_t reads = 0;  // every validated Execute of the read suite below
   for (int q : workload::TpchSqlQueries()) {
     const std::string sql = workload::TpchQuerySql(q);
     const workload::TpchAnswer want = workload::TpchReferenceAnswer(data, q);
@@ -207,6 +218,7 @@ int main(int argc, char** argv) {
                   for (uint32_t i = 0; i < iters; ++i) {
                     auto result = session.Execute(*prepared, sopts);
                     DCY_CHECK_OK(result.status());
+                    ++reads;
                     ok = ok && Validate(q, result->result, want);
                     exec_sec += result->timing.exec_seconds;
                     pin_sec += result->timing.pin_blocked_seconds;
@@ -232,9 +244,16 @@ int main(int argc, char** argv) {
 
   // Resilience counters as their own bench row, so lossy CI smoke runs leave
   // an auditable record (retransmits > 0 proves the schedule actually bit),
-  // and fault-free runs show retransmits staying small against hops.
+  // and fault-free runs show retransmits staying small against hops and
+  // blocked pins served without the §4.2.3 resend timer (resend_rescues).
   const runtime::RingCluster::ResilienceMetrics res = ring.Resilience();
   const runtime::RingCluster::BandwidthMetrics bw = ring.Bandwidth();
+  uint64_t resends = 0, resend_rescues = 0;
+  for (uint32_t n = 0; n < nodes; ++n) {
+    const core::DcNodeMetrics dc = ring.NodeMetrics(n);
+    resends += dc.resends;
+    resend_rescues += dc.resend_rescues;
+  }
   harness.Run("resilience",
               {{"scale", Fmt("%.3f", scale)}, {"nodes", std::to_string(nodes)}},
               [&] {
@@ -242,6 +261,10 @@ int main(int argc, char** argv) {
                 rep.items = 1;
                 rep.metrics["retransmits"] = static_cast<double>(res.retransmits);
                 rep.metrics["hops"] = static_cast<double>(bw.hops);
+                rep.metrics["reads"] = static_cast<double>(reads);
+                rep.metrics["resends"] = static_cast<double>(resends);
+                rep.metrics["resend_rescues"] = static_cast<double>(resend_rescues);
+                rep.metrics["optimized_build"] = kOptimizedBuild ? 1.0 : 0.0;
                 rep.metrics["frames_abandoned"] =
                     static_cast<double>(res.frames_abandoned);
                 rep.metrics["link_resets"] = static_cast<double>(res.link_resets);
@@ -355,11 +378,14 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(mem.spilled_bytes));
   }
   std::printf(
-      "resilience: %llu retransmits over %llu hops, %llu nacks, %llu corrupted, "
-      "%llu dup, %llu gap (injected: %llu dropped / %llu delayed / %llu dup / "
-      "%llu corrupt)\n",
+      "resilience: %llu retransmits over %llu hops, %llu resends (%llu rescues) "
+      "over %llu reads, %llu nacks, %llu corrupted, %llu dup, %llu gap (injected: "
+      "%llu dropped / %llu delayed / %llu dup / %llu corrupt)\n",
       static_cast<unsigned long long>(res.retransmits),
       static_cast<unsigned long long>(bw.hops),
+      static_cast<unsigned long long>(resends),
+      static_cast<unsigned long long>(resend_rescues),
+      static_cast<unsigned long long>(reads),
       static_cast<unsigned long long>(res.nacks_sent),
       static_cast<unsigned long long>(res.frames_corrupted),
       static_cast<unsigned long long>(res.frames_duplicate),

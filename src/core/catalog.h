@@ -40,6 +40,11 @@ struct OwnedBat {
   uint32_t cycles = 0;
   /// Last time the BAT completed a cycle at the owner (lost-BAT detection).
   SimTime last_cycle_at = 0;
+  /// A request reached the owner while the BAT was hot. If the BAT's next
+  /// return would unload it after a lap no node used, the owner serves that
+  /// request instead (DcNode::OwnerHandleReturn). Cleared on every return
+  /// and load.
+  bool requested_while_hot = false;
   /// Total times this BAT entered the ring (paper Fig. 9b "loads").
   uint64_t loads = 0;
   uint64_t unloads = 0;

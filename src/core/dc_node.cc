@@ -1,6 +1,7 @@
 #include "core/dc_node.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -78,17 +79,10 @@ bool DcNode::Pin(QueryId query, BatId bat) {
 
   pins_.Block(bat, query);
   ++metrics_.pins_blocked;
-  // Urgency signal: if no request of ours is in flight and the BAT has not
-  // passed for over a rotation, it was likely unloaded by its owner —
-  // re-request it now instead of waiting for the resend timeout.
-  if (!entry->in_flight) {
-    const SimTime rot = rotation_estimate_ != 0 ? rotation_estimate_
-                                                : options_.initial_rotation_estimate;
-    const SimTime stale_after = static_cast<SimTime>(1.5 * static_cast<double>(rot));
-    if (entry->last_seen == 0 || now - entry->last_seen > stale_after) {
-      DispatchRequest(entry, /*resend=*/false);
-    }
-  }
+  // Urgency signal: re-request now rather than wait for the resend timeout.
+  // A BAT seen recently may still be unloaded before it comes round again;
+  // the maintenance tick re-tests this pin until it is served.
+  if (ShouldResignal(*entry, now)) DispatchRequest(entry, /*resend=*/false);
   return false;
 }
 
@@ -131,8 +125,6 @@ void DcNode::FailBat(BatId bat) {
 // ---------------------------------------------------------------------------
 
 void DcNode::OnRequestMsg(const RequestMsg& msg) {
-  const SimTime now = env_->Now();
-
   // First outcome: the request is back at its origin — the BAT does not
   // exist (anymore); the associated queries raise an exception.
   if (msg.origin == options_.node_id) {
@@ -153,15 +145,16 @@ void DcNode::OnRequestMsg(const RequestMsg& msg) {
 
   // Second to fourth outcome: this node owns the BAT.
   if (OwnedBat* ob = owned_.Find(msg.bat_id)) {
-    if (ob->state == OwnedState::kHot) return;  // already (re-)loaded: ignore
+    if (ob->state == OwnedState::kHot) {
+      // Already circulating, so nothing to load. The paper drops the
+      // request; we remember it in case the BAT's next return unloads it.
+      ob->requested_while_hot = true;
+      return;
+    }
     if (CanLoadNow(ob->size)) {
       LoadOwnedBat(ob, /*from_pending=*/ob->state == OwnedState::kPending);
     } else if (ob->state != OwnedState::kPending) {
-      // Ring full: postpone until hot-set adjustment frees space.
-      owned_.NoteStateChange(ob, OwnedState::kPending);
-      ob->pending_since = now;
-      ++metrics_.bats_pending_tagged;
-      if (sink_ != nullptr) sink_->OnBatPending(options_.node_id, msg.bat_id);
+      TagPending(ob);  // ring full: wait for hot-set adjustment to free space
     }
     return;
   }
@@ -230,19 +223,34 @@ void DcNode::OwnerHandleReturn(BatHeader header) {
   ob->loi = new_loi;
   ob->cycles = cycles;
 
+  // A request that reached the owner during this cycle found the BAT hot and
+  // loaded nothing. If no node used the BAT on this lap, that requester did
+  // not get it either, and unloading now would leave it to the resend
+  // timeout. Serve the request as if it arrived after the unload: keep
+  // circulating if a fresh load would be admitted, else tag it pending. A
+  // lap some node used may already have served the requester; then the LOIT
+  // alone decides, and a still-blocked pin re-requests from its own tick.
+  const bool unserved_request =
+      std::exchange(ob->requested_while_hot, false) && header.copies == 0;
   if (new_loi < loit_->threshold()) {
-    // Below the minimum level of interest: pull it out of the hot set.
-    owned_.NoteStateChange(ob, OwnedState::kCold);
-    ++ob->unloads;
-    ++metrics_.bats_unloaded;
-    if (sink_ != nullptr) {
-      sink_->OnBatUnloaded(options_.node_id, header.bat_id, header.bat_size, cycles, new_loi);
+    if (unserved_request && CanLoadNow(ob->size)) {
+      ob->loi = 0.0;  // interest restarts, as for a fresh load
+    } else {
+      // Below the minimum level of interest: pull it out of the hot set.
+      owned_.NoteStateChange(ob, OwnedState::kCold);
+      ++ob->unloads;
+      ++metrics_.bats_unloaded;
+      if (sink_ != nullptr) {
+        sink_->OnBatUnloaded(options_.node_id, header.bat_id, header.bat_size, cycles,
+                             new_loi);
+      }
+      if (unserved_request) TagPending(ob);
+      return;
     }
-    return;
   }
 
   BatHeader fwd = header;
-  fwd.loi = new_loi;
+  fwd.loi = ob->loi;
   fwd.copies = 0;
   fwd.hops = 0;
   fwd.cycles = cycles;
@@ -325,20 +333,25 @@ void DcNode::OnLoadAllTimer() {
 void DcNode::OnMaintenanceTimer() {
   const SimTime now = env_->Now();
 
-  // Requester side: garbage-collect retired entries; re-send requests whose
-  // BAT is overdue (§4.2.3 resend(), "indicates a package loss"). The resend
-  // covers every entry with undelivered queries, not only blocked pins:
-  // an entry whose request was absorbed upstream must eventually re-signal,
-  // otherwise chains of absorbing-but-stale entries can starve the whole
-  // ring of a BAT its owner has unloaded. An entry is overdue only when
-  // neither a dispatch nor a BAT sighting happened within the timeout, so
-  // hot BATs (seen every rotation) never trigger it.
+  // Requester side: garbage-collect retired entries; re-request for blocked
+  // pins whose BAT is overdue (the pin() urgency signal, re-tested every
+  // tick); re-send requests whose BAT is overdue (§4.2.3 resend(),
+  // "indicates a package loss"). The resend covers every entry with
+  // undelivered queries, not only blocked pins: an entry whose request was
+  // absorbed upstream must eventually re-signal, otherwise chains of
+  // absorbing-but-stale entries can starve the whole ring of a BAT its owner
+  // has unloaded. An entry is overdue only when neither a dispatch nor a BAT
+  // sighting happened within the timeout, so hot BATs (seen every rotation)
+  // never trigger it.
   auto& entries = requests_.entries();
   for (auto it = entries.begin(); it != entries.end();) {
     RequestEntry& entry = it->second;
     if (!entry.queries.empty() && entry.AllDelivered()) {
       it = entries.erase(it);
       continue;
+    }
+    if (entry.HasBlockedPins() && ShouldResignal(entry, now)) {
+      DispatchRequest(&entry, /*resend=*/false);
     }
     const SimTime last_activity = std::max(entry.last_dispatch, entry.last_seen);
     if (options_.enable_resend && !entry.AllDelivered() &&
@@ -386,6 +399,7 @@ void DcNode::LoadOwnedBat(OwnedBat* ob, bool from_pending) {
   ob->last_cycle_at = now;
   ob->loi = 0.0;
   ob->cycles = 0;
+  ob->requested_while_hot = false;
   ++ob->loads;
   ++metrics_.bats_loaded;
   if (from_pending) ++metrics_.pending_loads;
@@ -398,15 +412,33 @@ void DcNode::LoadOwnedBat(OwnedBat* ob, bool from_pending) {
   env_->SendBatMsg(header, /*is_load=*/true);
 }
 
+void DcNode::TagPending(OwnedBat* ob) {
+  owned_.NoteStateChange(ob, OwnedState::kPending);
+  ob->pending_since = env_->Now();
+  ++metrics_.bats_pending_tagged;
+  if (sink_ != nullptr) sink_->OnBatPending(options_.node_id, ob->id);
+}
+
 void DcNode::DispatchRequest(RequestEntry* entry, bool resend) {
   entry->sent = true;
   entry->in_flight = true;
   entry->last_dispatch = env_->Now();
   ++entry->dispatch_count;
   ++metrics_.request_msgs_sent;
-  if (resend) ++metrics_.resends;
+  if (resend) {
+    ++metrics_.resends;
+    if (entry->HasBlockedPins()) ++metrics_.resend_rescues;
+  }
   if (sink_ != nullptr) sink_->OnRequestDispatched(options_.node_id, entry->bat_id, resend);
   env_->SendRequestMsg(RequestMsg{options_.node_id, entry->bat_id});
+}
+
+bool DcNode::ShouldResignal(const RequestEntry& entry, SimTime now) const {
+  if (entry.in_flight) return false;
+  const SimTime rot = rotation_estimate_ != 0 ? rotation_estimate_
+                                              : options_.initial_rotation_estimate;
+  const SimTime stale_after = static_cast<SimTime>(1.5 * static_cast<double>(rot));
+  return entry.last_seen == 0 || now - entry.last_seen > stale_after;
 }
 
 SimTime DcNode::ResendTimeout() const {

@@ -12,6 +12,13 @@
 //   §4.2.3  loadAll()            -> OnLoadAllTimer()
 //   §4.2.3  resend()             -> OnMaintenanceTimer()
 //   §4.4/§5.2 LOIT adaptation    -> OnAdaptTimer() via LoitPolicy
+//
+// Two refinements leave resend() to loss recovery on a loss-free ring:
+//   - the owner remembers a request that reaches a hot BAT and serves it at
+//     the BAT's next return if that return would unload it after a lap no
+//     node used (OwnerHandleReturn);
+//   - every maintenance tick re-requests for blocked pins whose BAT is
+//     overdue (ShouldResignal), not only the pin() call itself.
 #pragma once
 
 #include <memory>
@@ -105,6 +112,10 @@ struct DcNodeMetrics {
   uint64_t requests_absorbed = 0;     ///< Fig. 3 outcome 5
   uint64_t requests_returned_origin = 0;
   uint64_t resends = 0;
+  /// Resends that fired while their entry had a blocked pin: a query that
+  /// waited out the resend timeout. On a loss-free ring only a delivery
+  /// slower than that timeout leaves one.
+  uint64_t resend_rescues = 0;
   uint64_t pins_total = 0;
   uint64_t pins_local_hit = 0;        ///< owned-BAT or cache hit
   uint64_t pins_blocked = 0;
@@ -186,12 +197,18 @@ class DcNode {
   bool CanLoadNow(uint64_t size);
   /// Loads an owned cold/pending BAT into the ring (Fig. 3 outcome 4).
   void LoadOwnedBat(OwnedBat* bat, bool from_pending);
+  /// Postpones the load of a requested owned BAT (Fig. 3 outcome 3).
+  void TagPending(OwnedBat* bat);
   /// Owner branch of OnBatMsg: Fig. 5 hot-set management.
   void OwnerHandleReturn(BatHeader header);
   /// Non-owner branch of OnBatMsg: Fig. 4 BAT propagation.
   void PropagateBat(BatHeader header);
   /// Dispatches this node's own request message for `entry`.
   void DispatchRequest(RequestEntry* entry, bool resend);
+  /// True when a blocked pin on `entry` should re-request now: no request of
+  /// ours is in flight and the BAT has not passed for over 1.5 rotations, so
+  /// its owner has likely unloaded it.
+  bool ShouldResignal(const RequestEntry& entry, SimTime now) const;
   /// Delivers `bat` to every query blocked on it; returns how many.
   uint32_t DeliverToBlockedPins(BatId bat, uint64_t size);
   SimTime ResendTimeout() const;

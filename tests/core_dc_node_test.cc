@@ -147,7 +147,9 @@ TEST_F(DcNodeTest, Outcome2_OwnerIgnoresRequestForHotBat) {
   node_->AddOwnedBat(7, 100);
   node_->OnRequestMsg(RequestMsg{5, 7});  // loads it (outcome 4)
   ASSERT_EQ(env_.bats.size(), 1u);
-  node_->OnRequestMsg(RequestMsg{6, 7});  // already hot: ignored
+  // Already hot: nothing to load now. The owner only remembers the request
+  // for the BAT's next return (OwnerKeepsBatRequestedWhileHotInsteadOfUnloading).
+  node_->OnRequestMsg(RequestMsg{6, 7});
   EXPECT_EQ(env_.bats.size(), 1u);
   EXPECT_TRUE(env_.requests.empty());  // not forwarded either
 }
@@ -289,6 +291,88 @@ TEST_F(DcNodeTest, OwnerUnloadsBelowThreshold) {
   EXPECT_TRUE(env_.bats.empty());  // not forwarded
   EXPECT_EQ(node_->owned().Find(7)->state, OwnedState::kCold);
   EXPECT_EQ(node_->metrics().bats_unloaded, 1u);
+}
+
+TEST_F(DcNodeTest, OwnerKeepsBatRequestedWhileHotInsteadOfUnloading) {
+  SetLoit(0.5);
+  node_->AddOwnedBat(7, 100);
+  node_->OnRequestMsg(RequestMsg{5, 7});  // load
+  node_->OnRequestMsg(RequestMsg{6, 7});  // arrives while the BAT is hot
+  env_.bats.clear();
+
+  // No node used the lap (newLOI 0/9 < 0.5), so node 6 did not get it
+  // either; unloading would leave node 6 waiting for its resend. The ring
+  // has room, so it keeps circulating with its interest restarted, as a
+  // fresh load would.
+  BatHeader h = MakeHeader(7, 3);
+  h.hops = 9;
+  env_.now = 1000;
+  node_->OnBatMsg(h);
+  ASSERT_EQ(env_.bats.size(), 1u);
+  EXPECT_FALSE(env_.bats[0].second);  // forwarded, not reloaded
+  EXPECT_DOUBLE_EQ(env_.bats[0].first.loi, 0.0);
+  EXPECT_EQ(env_.bats[0].first.cycles, 1u);
+  EXPECT_EQ(node_->owned().Find(7)->state, OwnedState::kHot);
+  EXPECT_EQ(node_->metrics().bats_unloaded, 0u);
+
+  // The request was served; the next low return unloads as usual.
+  h = env_.bats[0].first;
+  h.hops = 9;
+  env_.bats.clear();
+  node_->OnBatMsg(h);
+  EXPECT_TRUE(env_.bats.empty());
+  EXPECT_EQ(node_->owned().Find(7)->state, OwnedState::kCold);
+  EXPECT_EQ(node_->metrics().bats_unloaded, 1u);
+}
+
+TEST_F(DcNodeTest, OwnerTagsBatRequestedWhileHotPendingWhenRingIsFull) {
+  SetLoit(0.5);
+  node_->AddOwnedBat(7, 100);
+  node_->OnRequestMsg(RequestMsg{5, 7});  // load
+  node_->OnRequestMsg(RequestMsg{6, 7});  // arrives while the BAT is hot
+  env_.bats.clear();
+
+  // Same return, but a fresh load would not pass admission: unload it and
+  // keep the request as a pending load, as if it arrived after the unload.
+  env_.queue_load = 950;
+  env_.now = 1000;
+  BatHeader h = MakeHeader(7, 3);
+  h.hops = 9;
+  node_->OnBatMsg(h);
+  EXPECT_TRUE(env_.bats.empty());
+  const OwnedBat* ob = node_->owned().Find(7);
+  EXPECT_EQ(ob->state, OwnedState::kPending);
+  EXPECT_EQ(ob->pending_since, 1000);
+  EXPECT_EQ(node_->metrics().bats_unloaded, 1u);
+  EXPECT_EQ(node_->metrics().bats_pending_tagged, 1u);
+
+  node_->OnLoadAllTimer();  // still full
+  EXPECT_TRUE(env_.bats.empty());
+  env_.queue_load = 0;
+  node_->OnLoadAllTimer();  // room again: loadAll() loads it
+  ASSERT_EQ(env_.bats.size(), 1u);
+  EXPECT_TRUE(env_.bats[0].second);
+  EXPECT_EQ(node_->owned().Find(7)->state, OwnedState::kHot);
+  EXPECT_EQ(node_->metrics().pending_loads, 1u);
+}
+
+TEST_F(DcNodeTest, OwnerUnloadsBatRequestedWhileHotAfterAUsedLap) {
+  SetLoit(0.5);
+  node_->AddOwnedBat(7, 100);
+  node_->OnRequestMsg(RequestMsg{5, 7});  // load
+  node_->OnRequestMsg(RequestMsg{6, 7});  // arrives while the BAT is hot
+  env_.bats.clear();
+
+  // Two nodes used the lap (newLOI 2/9 < 0.5), and node 6 may be one of
+  // them: its request raced the BAT that served it. The LOIT decides alone.
+  BatHeader h = MakeHeader(7, 3);
+  h.copies = 2;
+  h.hops = 9;
+  node_->OnBatMsg(h);
+  EXPECT_TRUE(env_.bats.empty());
+  EXPECT_EQ(node_->owned().Find(7)->state, OwnedState::kCold);
+  EXPECT_EQ(node_->metrics().bats_unloaded, 1u);
+  EXPECT_EQ(node_->metrics().bats_pending_tagged, 0u);
 }
 
 TEST_F(DcNodeTest, OwnerForwardsAboveThresholdWithResetCounters) {
@@ -476,6 +560,52 @@ TEST_F(DcNodeTest, BlockedPinOnStaleEntryRequestsImmediately) {
   env_.now = FromSeconds(30);
   EXPECT_FALSE(node_->Pin(2, 42));
   EXPECT_EQ(env_.requests.size(), 2u);
+}
+
+TEST_F(DcNodeTest, BlockedPinAfterRecentPassResignalsOnFirstOverdueTick) {
+  // No cycle observed yet: the rotation estimate is the 500 ms default, so
+  // the BAT is overdue 750 ms after it last passed.
+  node_->Request(1, 42);
+  ASSERT_EQ(env_.requests.size(), 1u);
+  env_.now = FromMillis(100);
+  node_->OnBatMsg(MakeHeader(42, 0));  // passes before query 1 pins it
+
+  // The pin comes soon after the pass: the BAT may still come round, so
+  // nothing is sent yet, and a tick within 1.5 rotations stays quiet.
+  env_.now = FromMillis(200);
+  EXPECT_FALSE(node_->Pin(1, 42));
+  env_.now = FromMillis(850);
+  node_->OnMaintenanceTimer();
+  EXPECT_EQ(env_.requests.size(), 1u);
+
+  // The first tick past 1.5 rotations re-requests it, as a first dispatch,
+  // not a resend.
+  env_.now = FromMillis(851);
+  node_->OnMaintenanceTimer();
+  ASSERT_EQ(env_.requests.size(), 2u);
+  EXPECT_EQ(env_.requests[1].origin, 3u);
+  EXPECT_EQ(env_.requests[1].bat_id, 42u);
+  EXPECT_EQ(node_->metrics().resends, 0u);
+
+  // While that request is in flight, later ticks send nothing more (the
+  // resend timeout, 3 rotations, is left to loss recovery).
+  for (SimTime t = FromMillis(900); t < FromMillis(2300); t += FromMillis(100)) {
+    env_.now = t;
+    node_->OnMaintenanceTimer();
+  }
+  EXPECT_EQ(env_.requests.size(), 2u);
+  EXPECT_EQ(node_->metrics().resends, 0u);
+  EXPECT_EQ(node_->metrics().resend_rescues, 0u);
+}
+
+TEST_F(DcNodeTest, ResendOfBlockedPinCountsAsRescue) {
+  node_->Request(1, 42);
+  node_->Request(2, 43);
+  node_->Pin(1, 42);  // blocked
+  env_.now = FromSeconds(10);
+  node_->OnMaintenanceTimer();  // both requests overdue: both re-sent
+  EXPECT_EQ(node_->metrics().resends, 2u);
+  EXPECT_EQ(node_->metrics().resend_rescues, 1u);  // only 42 had a waiter
 }
 
 TEST_F(DcNodeTest, ResendDisabledByOption) {

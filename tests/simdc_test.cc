@@ -101,6 +101,24 @@ TEST(SimClusterTest, ConservationOfHotBats) {
   EXPECT_EQ(h.cluster->total_data_drops(), 0u);
 }
 
+TEST(SimClusterTest, LossFreeRingServesBlockedPinsWithoutResends) {
+  // §4.2.3 resend() exists for lost messages. With none lost, every blocked
+  // pin must be served by the rotation, a pin-time re-request or a pending
+  // load, never by waiting out the resend timeout. The run is seeded, so
+  // the count is exact.
+  Harness h(SmallCluster());
+  h.SubmitUniform(20, 5 * kSecond);
+  h.cluster->Start();
+  ASSERT_TRUE(h.cluster->RunUntilQueriesDrain(FromSeconds(300)));
+  uint64_t resends = 0, rescues = 0;
+  for (uint32_t n = 0; n < h.cluster->num_nodes(); ++n) {
+    resends += h.cluster->node(n).metrics().resends;
+    rescues += h.cluster->node(n).metrics().resend_rescues;
+  }
+  EXPECT_EQ(rescues, 0u) << "of " << resends << " resends";
+  EXPECT_EQ(h.cluster->total_data_drops(), 0u);
+}
+
 TEST(SimClusterTest, RingEmptiesAfterWorkloadEnds) {
   Harness h(SmallCluster());
   h.SubmitUniform(20, 3 * kSecond);

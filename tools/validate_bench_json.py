@@ -52,22 +52,39 @@ def validate_bandwidth_case(path: str, case: dict) -> None:
 # is lost, so a retransmit is wasted work, and frames_duplicate counts exactly
 # those spurious re-sends. A descheduled receiver can still outlast any
 # timeout estimate, so the invariant is a bound, not zero.
+#
+# The same holds one layer up: the protocol's request resend (paper §4.2.3)
+# recovers lost messages, so on a fault-free fabric a blocked pin should be
+# served by the rotation, never by waiting out the resend timeout. A rescue
+# is a resend that fired while a pin was blocked on its BAT. The bound needs
+# an optimized build: the resend timer's 200 ms floor assumes a cold BAT
+# reaches its requester sooner, and in the Debug sanitizer builds its first
+# delivery can take 200-730 ms, so resends fire while the first request is
+# still being served.
 RESILIENCE_INJECTED_KEYS = (
     "injected_dropped", "injected_delayed", "injected_duplicated",
     "injected_corrupted",
 )
 CLEAN_FABRIC_MAX_RETRANSMITS_PER_HOP = 0.2
+CLEAN_FABRIC_MAX_RESCUES_PER_READ = 0.02
 
 
 def validate_resilience_case(path: str, case: dict) -> None:
     m = case.get("metrics", {})
-    for key in ("retransmits", "hops") + RESILIENCE_INJECTED_KEYS:
+    for key in ("retransmits", "hops", "reads", "resends", "resend_rescues",
+                "optimized_build") + RESILIENCE_INJECTED_KEYS:
         assert key in m, f"{path}: resilience row missing metric {key}"
-    if all(m[key] == 0 for key in RESILIENCE_INJECTED_KEYS):
-        bound = CLEAN_FABRIC_MAX_RETRANSMITS_PER_HOP * m["hops"]
-        assert m["retransmits"] <= bound, \
-            f"{path}: {m['retransmits']:.0f} retransmits over {m['hops']:.0f} hops " \
-            f"on a fault-free fabric (bound {bound:.0f})"
+    if any(m[key] != 0 for key in RESILIENCE_INJECTED_KEYS):
+        return
+    bound = CLEAN_FABRIC_MAX_RETRANSMITS_PER_HOP * m["hops"]
+    assert m["retransmits"] <= bound, \
+        f"{path}: {m['retransmits']:.0f} retransmits over {m['hops']:.0f} hops " \
+        f"on a fault-free fabric (bound {bound:.0f})"
+    if m["optimized_build"]:
+        bound = CLEAN_FABRIC_MAX_RESCUES_PER_READ * m["reads"]
+        assert m["resend_rescues"] <= bound, \
+            f"{path}: {m['resend_rescues']:.0f} resend rescues over " \
+            f"{m['reads']:.0f} reads on a fault-free fabric (bound {bound:.2f})"
 
 
 # The fetch-join rows (bench_micro_engine): Join answers a dense right head
