@@ -391,10 +391,6 @@ int main(int argc, char** argv) {
         size_t{1} << 10, static_cast<size_t>(scale * static_cast<double>(1 << 16)));
     runtime::RingCluster::Options ropts;
     ropts.num_nodes = 3;
-    ropts.node.load_all_period = FromMillis(2);
-    ropts.node.maintenance_period = FromMillis(10);
-    ropts.node.adapt_period = FromMillis(10);
-    ropts.node.initial_rotation_estimate = FromMillis(5);
     runtime::RingCluster ring(ropts);
     {
       Rng rng(14);

@@ -153,10 +153,6 @@ int main(int argc, char** argv) {
   runtime::RingCluster::Options opts;
   opts.num_nodes = nodes;
   opts.plan_workers = workers;
-  opts.node.load_all_period = FromMillis(2);
-  opts.node.maintenance_period = FromMillis(10);
-  opts.node.adapt_period = FromMillis(10);
-  opts.node.initial_rotation_estimate = FromMillis(5);
   if (lossy) opts.fault = &fault;
   if (writes > 0) {
     // Fold aggressively so a short bench run still exercises compaction.

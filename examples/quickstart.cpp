@@ -46,10 +46,6 @@ int main() {
   // A 3-node ring; the two tables live on nodes 1 and 2.
   runtime::RingCluster::Options opts;
   opts.num_nodes = 3;
-  opts.node.load_all_period = FromMillis(2);
-  opts.node.maintenance_period = FromMillis(10);
-  opts.node.adapt_period = FromMillis(10);
-  opts.node.initial_rotation_estimate = FromMillis(5);
   runtime::RingCluster ring(opts);
 
   DCY_CHECK_OK(ring.LoadBat(1, "sys.t.id", bat::Bat::MakeColumn(bat::MakeIntColumn(

@@ -41,10 +41,6 @@ end q_revenue;
 int RunLiveSessions(uint32_t sessions, uint32_t queries_per_session, size_t rows) {
   runtime::RingCluster::Options opts;
   opts.num_nodes = 3;
-  opts.node.load_all_period = FromMillis(2);
-  opts.node.maintenance_period = FromMillis(10);
-  opts.node.adapt_period = FromMillis(10);
-  opts.node.initial_rotation_estimate = FromMillis(5);
   runtime::RingCluster ring(opts);
 
   Rng rng(42);

@@ -7,6 +7,21 @@
 
 namespace dcy::core {
 
+namespace {
+
+/// A requested BAT not delivered within this many expected rotations
+/// triggers a request re-send (§4.2.3 resend()).
+constexpr double kResendFactor = 3.0;
+
+/// The owner declares a hot BAT lost after this many expected rotations
+/// without a completed cycle, returning it to cold state. Deliberately
+/// sluggish: rotation times vary several-fold under saturation and a false
+/// positive costs accounting churn, while a true loss only occurs on lossy
+/// channels where a slow recovery is acceptable.
+constexpr double kLostFactor = 20.0;
+
+}  // namespace
+
 DcNode::DcNode(DcNodeOptions options, DcEnv* env, LoitPolicy* loit, StatsSink* sink)
     : options_(options), env_(env), loit_(loit), sink_(sink) {
   DCY_CHECK(env_ != nullptr);
@@ -364,13 +379,11 @@ void DcNode::OnMaintenanceTimer() {
   // Owner side: a hot BAT that has not completed a cycle for much longer
   // than the rotation estimate was dropped somewhere — return it to cold so
   // a future request can re-load it.
-  if (options_.enable_lost_detection) {
-    for (OwnedBat* ob : owned_.Hot()) {
-      if (now - ob->last_cycle_at >= LostTimeout()) {
-        owned_.NoteStateChange(ob, OwnedState::kCold);
-        ++metrics_.bats_presumed_lost;
-        if (sink_ != nullptr) sink_->OnBatPresumedLost(options_.node_id, ob->id);
-      }
+  for (OwnedBat* ob : owned_.Hot()) {
+    if (now - ob->last_cycle_at >= LostTimeout()) {
+      owned_.NoteStateChange(ob, OwnedState::kCold);
+      ++metrics_.bats_presumed_lost;
+      if (sink_ != nullptr) sink_->OnBatPresumedLost(options_.node_id, ob->id);
     }
   }
 }
@@ -445,13 +458,13 @@ SimTime DcNode::ResendTimeout() const {
   const SimTime rot = rotation_estimate_ != 0 ? rotation_estimate_
                                               : options_.initial_rotation_estimate;
   return std::max(options_.min_resend_timeout,
-                  static_cast<SimTime>(options_.resend_factor * static_cast<double>(rot)));
+                  static_cast<SimTime>(kResendFactor * static_cast<double>(rot)));
 }
 
 SimTime DcNode::LostTimeout() const {
   const SimTime rot = std::max(rotation_estimate_, options_.initial_rotation_estimate);
   return std::max<SimTime>(options_.min_resend_timeout * 2,
-                           static_cast<SimTime>(options_.lost_factor * static_cast<double>(rot)));
+                           static_cast<SimTime>(kLostFactor * static_cast<double>(rot)));
 }
 
 }  // namespace dcy::core

@@ -78,20 +78,11 @@ struct DcNodeOptions {
   /// evaluate on a short timer plus after every load/unload).
   SimTime adapt_period = FromMillis(100);
 
-  /// A requested BAT not delivered within `resend_factor` x the expected
-  /// rotation time triggers a request re-send (§4.2.3 resend()).
-  double resend_factor = 3.0;
   /// Fallback expected rotation before any cycle was observed.
   SimTime initial_rotation_estimate = FromMillis(500);
-  /// Lower bound so EMA noise cannot cause resend storms.
+  /// Lower bound of the resend timeout, so EMA noise cannot cause resend
+  /// storms.
   SimTime min_resend_timeout = FromMillis(200);
-
-  /// Owner declares a hot BAT lost after `lost_factor` x expected rotation
-  /// without completing a cycle, returning it to cold state. Deliberately
-  /// sluggish: rotation times vary several-fold under saturation and a
-  /// false positive costs accounting churn, while a true loss only occurs
-  /// on lossy channels where a slow recovery is acceptable.
-  double lost_factor = 20.0;
 
   /// Admission: a load is allowed while queue_load + size <= headroom x
   /// capacity. 1.0 reproduces the paper's "ring is full" check.
@@ -101,7 +92,6 @@ struct DcNodeOptions {
   bool combine_requests = true;   ///< Fig. 3 outcome 5 (absorb duplicates)
   bool pending_fit_check = true;  ///< loadAll skips BATs that do not fit
   bool enable_resend = true;      ///< §4.2.3 resend()
-  bool enable_lost_detection = true;
 };
 
 /// \brief Aggregate per-node protocol counters (cheap, always on).

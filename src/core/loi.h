@@ -38,9 +38,6 @@ class LoitPolicy {
   /// Feeds the current local BAT-queue load fraction (0..1); adaptive
   /// policies move their level, static policies ignore it.
   virtual void Update(double queue_load_fraction) = 0;
-
-  /// Human-readable name for experiment logs.
-  virtual const char* name() const = 0;
 };
 
 /// \brief Fixed LOIT_n, as swept in §5.1 (0.1 … 1.1).
@@ -49,7 +46,6 @@ class StaticLoit final : public LoitPolicy {
   explicit StaticLoit(double threshold) : threshold_(threshold) {}
   double threshold() const override { return threshold_; }
   void Update(double) override {}
-  const char* name() const override { return "static"; }
 
  private:
   double threshold_;
@@ -112,7 +108,6 @@ class AdaptiveLoit final : public LoitPolicy {
 
   double threshold() const override { return options_.levels[level_]; }
   void Update(double queue_load_fraction) override;
-  const char* name() const override { return "adaptive"; }
 
   size_t level_index() const { return level_; }
   /// Number of level changes so far (ablation metric).

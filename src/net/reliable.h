@@ -161,7 +161,6 @@ struct ReliableMetrics {
   uint64_t frames_stale = 0;       ///< frames from a superseded epoch
   uint64_t frames_invalid = 0;     ///< bad magic / nonsense sender
   uint64_t nacks_sent = 0;
-  uint64_t acks_sent = 0;
 };
 
 /// \brief Sending half of one directed link. Single-threaded: owned by the

@@ -5,15 +5,6 @@
 
 namespace dcy::rdma {
 
-const char* TransferModeName(TransferMode m) {
-  switch (m) {
-    case TransferMode::kZeroCopy: return "rdma-zero-copy";
-    case TransferMode::kNicOffload: return "nic-offload";
-    case TransferMode::kLegacy: return "legacy-tcp";
-  }
-  return "?";
-}
-
 std::shared_ptr<std::string> BufferPool::Acquire(size_t reserve) {
   std::unique_ptr<std::string> frame;
   {

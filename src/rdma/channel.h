@@ -125,7 +125,6 @@ class MetaBlob {
 #undef DCY_META_CHECK
 
 enum class TransferMode { kZeroCopy, kNicOffload, kLegacy };
-const char* TransferModeName(TransferMode m);
 
 /// \brief A message as delivered to the receiver.
 struct Message {

@@ -68,6 +68,10 @@ bool PayloadCrcOk(const rdma::Message& m, const net::FrameHeader& frame,
 /// to work posted from other threads.
 constexpr auto kIdleWait = std::chrono::microseconds(200);
 
+/// Logical BAT-queue capacity per node: the load admission and LOIT input
+/// of the protocol. The data channel blocks senders at four times this.
+constexpr uint64_t kBatQueueCapacity = 64 * kMB;
+
 SimTime SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -137,26 +141,17 @@ class RingCluster::Node final : public core::DcEnv {
         store_(NodeStoreOptions(cluster->options_.memory, cluster->options_.spill_dir,
                                 id)) {
     const Options& opts = cluster->options_;
-    if (opts.adaptive_loit) {
-      loit_ = std::make_unique<core::AdaptiveLoit>(opts.adaptive);
-    } else {
-      loit_ = std::make_unique<core::StaticLoit>(opts.static_loit);
-    }
     core::DcNodeOptions node_opts = opts.node;
     node_opts.node_id = id;
     node_opts.ring_size = opts.num_nodes;
-    dc_ = std::make_unique<core::DcNode>(node_opts, this, loit_.get());
+    dc_ = std::make_unique<core::DcNode>(node_opts, this, &loit_);
 
+    // Every ring channel is zero-copy (the Channel default).
     rdma::Channel::Options data_opts;
-    data_opts.mode = opts.mode;
-    data_opts.capacity_bytes = opts.bat_queue_capacity * 4;  // hard backpressure
+    data_opts.capacity_bytes = kBatQueueCapacity * 4;  // hard backpressure
     data_in_ = std::make_unique<rdma::Channel>(data_opts);
-    rdma::Channel::Options req_opts;
-    req_opts.mode = rdma::TransferMode::kZeroCopy;
-    request_in_ = std::make_unique<rdma::Channel>(req_opts);
-    rdma::Channel::Options ctrl_opts;
-    ctrl_opts.mode = rdma::TransferMode::kZeroCopy;  // meta-only traffic
-    ctrl_in_ = std::make_unique<rdma::Channel>(ctrl_opts);
+    request_in_ = std::make_unique<rdma::Channel>(rdma::Channel::Options());
+    ctrl_in_ = std::make_unique<rdma::Channel>(rdma::Channel::Options());
     if (opts.fault != nullptr) {
       data_in_->SetFaultInjector(opts.fault, id_, rdma::kFaultChannelData);
       request_in_->SetFaultInjector(opts.fault, id_, rdma::kFaultChannelRequest);
@@ -334,7 +329,7 @@ class RingCluster::Node final : public core::DcEnv {
     core::DcNodeOptions node_opts = cluster_->options_.node;
     node_opts.node_id = id_;
     node_opts.ring_size = cluster_->options_.num_nodes;
-    dc_ = std::make_unique<core::DcNode>(node_opts, this, loit_.get());
+    dc_ = std::make_unique<core::DcNode>(node_opts, this, &loit_);
     decoded_.clear();
     decoded_in_store_.clear();
     decode_rejected_.clear();
@@ -614,7 +609,7 @@ class RingCluster::Node final : public core::DcEnv {
     return successor_.load(std::memory_order_acquire)->data_in()->queued_bytes();
   }
 
-  uint64_t BatQueueCapacityBytes() override { return cluster_->options_.bat_queue_capacity; }
+  uint64_t BatQueueCapacityBytes() override { return kBatQueueCapacity; }
 
   /// Decoded-BAT cache upkeep: drop entries the protocol cache released,
   /// returning their budget charge to the store.
@@ -1034,7 +1029,7 @@ class RingCluster::Node final : public core::DcEnv {
   RingCluster* cluster_;
   core::NodeId id_;
   storage::FragmentStore store_;
-  std::unique_ptr<core::LoitPolicy> loit_;
+  core::AdaptiveLoit loit_{core::AdaptiveLoit::Options()};  // the §5.2 ladder
   std::unique_ptr<core::DcNode> dc_;
   std::atomic<Node*> successor_{nullptr};
   std::atomic<Node*> predecessor_{nullptr};
@@ -1495,10 +1490,6 @@ Result<core::BatId> RingCluster::FindFragment(const std::string& name) const {
 
 void RingCluster::Start() {
   if (started_.exchange(true)) return;
-  // The kernel policy is process-wide (the executor is shared); the last
-  // started cluster wins, which matches how benches and servers run one
-  // cluster per process.
-  exec::SetExecPolicy(options_.exec_policy);
   for (auto& node : nodes_) node->Start();
   // Background compactors, one per node, owned by the cluster — CrashNode
   // kills a node's threads without touching these, so a fold in flight on a

@@ -31,7 +31,6 @@
 #include "common/status.h"
 #include "core/admission.h"
 #include "core/dc_node.h"
-#include "exec/executor.h"
 #include "mal/interpreter.h"
 #include "net/reliable.h"
 #include "opt/dc_optimizer.h"
@@ -68,24 +67,23 @@ class RingCluster {
 
   struct Options {
     uint32_t num_nodes = 3;
-    rdma::TransferMode mode = rdma::TransferMode::kZeroCopy;
-    /// Logical BAT-queue capacity per node (admission + LOIT input).
-    uint64_t bat_queue_capacity = 64 * kMB;
-    bool adaptive_loit = true;
-    double static_loit = 0.1;
-    core::AdaptiveLoit::Options adaptive;
-    core::DcNodeOptions node;  // node_id/ring_size filled per node
+    /// Protocol timers sized for a live ring, which rotates in milliseconds
+    /// (core::DcNodeOptions keeps the simulator's defaults). node_id and
+    /// ring_size are filled per node.
+    core::DcNodeOptions node = [] {
+      core::DcNodeOptions o;
+      o.load_all_period = FromMillis(2);
+      o.maintenance_period = FromMillis(10);
+      o.adapt_period = FromMillis(10);
+      o.initial_rotation_estimate = FromMillis(5);
+      return o;
+    }();
     /// Spill directory root ("" keeps all cold data in memory).
     std::string spill_dir;
     /// Max instructions of one plan executing concurrently (dataflow width).
     /// Plans run as tasks on the process-wide exec::Executor — no threads
     /// are created per query.
     size_t plan_workers = 4;
-    /// Morsel-parallel kernel policy (workers / morsel_rows / threshold /
-    /// join_partitions for the radix-partitioned hash build), applied
-    /// process-wide at Start(). Concurrent query sessions share the
-    /// executor's fixed pool instead of oversubscribing the machine.
-    exec::ExecPolicy exec_policy;
     /// Per-node query admission: at most `admission.max_concurrent` queries
     /// execute on a node at once; bursts queue FIFO up to
     /// `admission.max_queued`, beyond which Submit() is rejected.

@@ -8,6 +8,17 @@
 
 namespace dcy::runtime {
 
+namespace {
+
+/// Retry backoff growth per attempt (RetryPolicy).
+constexpr int kRetryBackoffMultiplier = 2;
+/// Retry jitter: each delay scales by 1 + kRetryJitter * U(-1, 1), drawn
+/// from a stream seeded with kRetryJitterSeed per Execute call.
+constexpr double kRetryJitter = 0.2;
+constexpr uint64_t kRetryJitterSeed = 0x5E551017u;
+
+}  // namespace
+
 // ===========================================================================
 // ResultSet
 // ===========================================================================
@@ -138,7 +149,7 @@ Result<QueryResult> Session::Execute(const PreparedQueryPtr& prepared,
                                      const SubmitOptions& options) {
   const RetryPolicy& retry = options.retry;
   const uint32_t attempts = std::max<uint32_t>(1, retry.max_attempts);
-  Rng jitter_rng(retry.seed);
+  Rng jitter_rng(kRetryJitterSeed);
   std::chrono::milliseconds backoff = retry.initial_backoff;
   Result<QueryResult> last{Status(StatusCode::kUnknown, "never attempted")};
   for (uint32_t attempt = 1; attempt <= attempts; ++attempt) {
@@ -151,14 +162,11 @@ Result<QueryResult> Session::Execute(const PreparedQueryPtr& prepared,
     if (attempt == attempts || !RetryPolicy::Retryable(last.status().code())) break;
     // Jittered exponential backoff between attempts, so a burst of shed
     // queries does not stampede the recovering ring in lockstep.
-    const double scale = 1.0 + retry.jitter * (2.0 * jitter_rng.NextDouble() - 1.0);
-    const auto delay = std::chrono::duration_cast<std::chrono::milliseconds>(
-        backoff * std::max(0.0, scale));
+    const double scale = 1.0 + kRetryJitter * (2.0 * jitter_rng.NextDouble() - 1.0);
+    const auto delay =
+        std::chrono::duration_cast<std::chrono::milliseconds>(backoff * scale);
     if (delay.count() > 0) std::this_thread::sleep_for(delay);
-    backoff = std::min(
-        retry.max_backoff,
-        std::chrono::milliseconds(static_cast<int64_t>(
-            static_cast<double>(backoff.count()) * std::max(1.0, retry.multiplier))));
+    backoff = std::min(retry.max_backoff, backoff * kRetryBackoffMultiplier);
   }
   return last;
 }

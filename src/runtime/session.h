@@ -168,16 +168,13 @@ using PreparedQueryPtr = std::shared_ptr<const PreparedQuery>;
 /// Session::Execute only (Submit hands out one attempt's handle): a query
 /// that fails with Unavailable (ring degraded, fragment owner down) or
 /// ResourceExhausted (admission backpressure) is resubmitted after a
-/// jittered exponential backoff, up to `max_attempts` total attempts.
+/// backoff, up to `max_attempts` total attempts. The backoff doubles per
+/// attempt up to `max_backoff`, and each delay scales by 1 + 0.2*U(-1,1)
+/// from a deterministic stream seeded per Execute call.
 struct RetryPolicy {
   uint32_t max_attempts = 1;  ///< 1 = retries disabled
   std::chrono::milliseconds initial_backoff{2};
   std::chrono::milliseconds max_backoff{100};
-  double multiplier = 2.0;
-  /// Backoff jitter fraction: each delay scales by 1 + jitter*U(-1,1).
-  double jitter = 0.2;
-  /// Seed of the deterministic jitter stream (per Execute call).
-  uint64_t seed = 0x5E551017u;
 
   /// True for the transient failure codes worth another attempt.
   static bool Retryable(StatusCode code) {

@@ -24,7 +24,7 @@ ExperimentCollector::ExperimentCollector(Options options) : options_(std::move(o
 
 void ExperimentCollector::StartSampling(sim::Simulator* sim) {
   Sample(sim->Now());
-  sampler_ = std::make_unique<sim::PeriodicTimer>(sim, options_.sample_period,
+  sampler_ = std::make_unique<sim::PeriodicTimer>(sim, kSecond,
                                                   [this, sim] { Sample(sim->Now()); });
   sampler_->Start();
 }

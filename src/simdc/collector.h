@@ -21,8 +21,6 @@ class ExperimentCollector : public core::StatsSink, public QueryObserver {
  public:
   struct Options {
     uint32_t num_bats = 0;
-    /// Sampling period for the ring-load time series (Figs. 7, 8).
-    SimTime sample_period = kSecond;
     /// Number of workload tags tracked separately (Fig. 8); tag 0..n-1.
     uint32_t num_tags = 1;
     /// Maps a BAT to a workload tag for per-hot-set byte accounting; null
@@ -32,7 +30,8 @@ class ExperimentCollector : public core::StatsSink, public QueryObserver {
 
   explicit ExperimentCollector(Options options);
 
-  /// Starts the periodic ring-load sampler (records a sample at t=0 too).
+  /// Starts the ring-load sampler, one sample per simulated second (Figs.
+  /// 7, 8); it records a sample at t=0 too.
   /// Every StartSampling must be paired with FinishSampling before `sim` is
   /// destroyed: the sampler cancels its pending event on teardown. Prefer
   /// ScopedSampling below, which enforces the pairing on every exit path.

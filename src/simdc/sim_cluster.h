@@ -20,22 +20,12 @@ namespace dcy::simdc {
 struct ClusterOptions {
   uint32_t num_nodes = 10;
 
-  /// Link characteristics (paper: 10 Gb/s duplex, 350 us, DropTail).
+  /// Link bandwidth (paper: 10 Gb/s duplex links with a 350 us delay).
   double link_gbps = 10.0;
-  SimTime link_delay = FromMicros(350);
   /// Per-node BAT queue (paper: 200 MB -> ring capacity 2 GB at 10 nodes).
   /// This is the *logical* capacity the protocol's admission control and
   /// LOIT adaptation reason about.
   uint64_t bat_queue_capacity = 200 * kMB;
-  /// Physical DropTail threshold as a multiple of the logical capacity.
-  /// 0 (default) = lossless: an RDMA/TCP fabric applies backpressure rather
-  /// than dropping, and the protocol's load admission already bounds
-  /// steady-state occupancy at the logical cap — transient bunching of
-  /// forwarded BATs above it models bounded flow-control drift. Set to a
-  /// positive factor (e.g. 1.0) for strict NS-2-style tail drop; the
-  /// resend()/lost-BAT machinery then recovers from the losses.
-  double physical_queue_factor = 0.0;
-  uint64_t request_queue_capacity = 4 * kMB;
   /// Fault injection on the wire (0 in paper-faithful runs).
   double loss_probability = 0.0;
 
@@ -46,7 +36,6 @@ struct ClusterOptions {
   /// LOIT policy: static sweep value (§5.1) or the adaptive ladder (§5.2).
   bool adaptive_loit = false;
   double static_loit = 0.5;
-  core::AdaptiveLoit::Options adaptive_loit_options;
 
   /// Protocol tunables; node_id/ring_size are filled in per node.
   core::DcNodeOptions node;

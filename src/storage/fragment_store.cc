@@ -10,6 +10,17 @@ namespace dcy::storage {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+/// Queued-but-unwritten spill bytes beyond which the store reports memory
+/// pressure (spill I/O is not keeping up; callers shed load).
+constexpr uint64_t kMaxSpillBacklogBytes = 64u << 20;
+
+/// Longest a pin fault-in without an explicit deadline waits for room.
+constexpr std::chrono::milliseconds kDefaultFaultWait{5000};
+
+}  // namespace
+
 void MemoryMetrics::Add(const MemoryMetrics& other) {
   budget_bytes += other.budget_bytes;
   resident_bytes += other.resident_bytes;
@@ -35,9 +46,7 @@ void MemoryMetrics::Add(const MemoryMetrics& other) {
 }
 
 FragmentStore::FragmentStore(FragmentStoreOptions options)
-    : options_(std::move(options)),
-      epoch_(std::chrono::steady_clock::now()),
-      interest_(options_.interest) {
+    : options_(std::move(options)), epoch_(std::chrono::steady_clock::now()) {
   if (!options_.spill_dir.empty()) {
     std::error_code ec;
     fs::create_directories(options_.spill_dir, ec);
@@ -359,7 +368,7 @@ Result<bat::BatPtr> FragmentStore::PinInternal(
   if (deadline == std::chrono::steady_clock::time_point::max()) {
     // An unbounded wait would wedge the caller if spill I/O stalls; cap it
     // so a typed, retryable error surfaces instead.
-    deadline = std::chrono::steady_clock::now() + options_.default_fault_wait;
+    deadline = std::chrono::steady_clock::now() + kDefaultFaultWait;
   }
   while (true) {
     auto it = frames_.find(id);
@@ -551,9 +560,9 @@ bool FragmentStore::UnderPressure() const {
                             static_cast<double>(options_.budget_bytes));
   if (resident_bytes_ <= high) return false;
   // Above the high mark: pressure if there is no disk tier to absorb the
-  // overhang, or the spill backlog has grown past the configured bound.
+  // overhang, or the spill backlog has grown past its bound.
   if (options_.spill_dir.empty()) return true;
-  return spill_queue_bytes_ > options_.max_spill_backlog_bytes;
+  return spill_queue_bytes_ > kMaxSpillBacklogBytes;
 }
 
 FragmentStore::RecoveryReport FragmentStore::Recover() {

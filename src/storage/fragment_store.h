@@ -55,13 +55,6 @@ struct FragmentStoreOptions {
   /// find room without waiting on I/O.
   double spill_high_watermark = 0.90;
   double spill_low_watermark = 0.70;
-  /// Queued-but-unwritten spill bytes beyond which the store reports
-  /// memory pressure (spill I/O is not keeping up; callers shed load).
-  uint64_t max_spill_backlog_bytes = 64u << 20;
-  /// Longest a pin fault-in without an explicit deadline waits for room.
-  std::chrono::milliseconds default_fault_wait{5000};
-  /// Windowed-decay interest used for eviction ranking.
-  core::InterestTracker::Options interest;
   /// When false, evictions spill inline on the calling thread
   /// (deterministic; unit tests).
   bool async_spill = true;

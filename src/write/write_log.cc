@@ -10,6 +10,10 @@ namespace dcy::write {
 
 namespace {
 
+/// A table folds once any of its fragments accumulates this many pending
+/// delta bytes (CompactionOptions names the other triggers).
+constexpr uint64_t kMaxDeltaBytes = 256 * 1024;
+
 /// Appends the rows of `src` whose ids are not in `dead`, batching runs of
 /// survivors into bulk AppendColumnRange calls.
 void AppendSurvivors(bat::ColumnBuilder* b, const bat::Column& src,
@@ -311,10 +315,10 @@ std::vector<std::pair<std::string, core::BatId>> WriteLog::TablesReadyToFold(
     // thresholds, so a table whose newest pending version is unchanged since
     // the previous scan folds anyway.
     const uint64_t newest = t.pending.back().version;
-    const bool idle = opts.drain_idle && newest == t.idle_mark;
+    const bool idle = newest == t.idle_mark;
     t.idle_mark = newest;
     if (idle || t.pending.size() >= opts.max_delta_count ||
-        fragment_bytes >= opts.max_delta_bytes) {
+        fragment_bytes >= kMaxDeltaBytes) {
       out.emplace_back(name, t.columns.front().id);
     }
   }

@@ -49,18 +49,14 @@ namespace dcy::write {
 /// ResilienceOptions pattern).
 struct CompactionOptions {
   bool enable = true;
-  /// A table folds once any of its fragments accumulates this many pending
-  /// delta bytes...
-  uint64_t max_delta_bytes = 256 * 1024;
-  /// ...or this many pending deltas (commits touching it).
+  /// A table folds once it has this many pending deltas (commits touching
+  /// it), once any of its fragments accumulates 256 KiB of pending delta
+  /// bytes, or once its newest pending delta is unchanged between two
+  /// compactor scans (the idle drain: without it a short tail would sit
+  /// unfolded forever once writers go quiet).
   uint64_t max_delta_count = 64;
   /// Cadence of each node's background compactor thread.
   SimTime interval = FromMillis(25);
-  /// Fold a table whose newest pending delta is unchanged between two
-  /// compactor scans, even below the thresholds above. Without this a tail
-  /// of fewer than `max_delta_count` deltas would sit unfolded forever once
-  /// writers go quiet.
-  bool drain_idle = true;
 };
 
 /// \brief Counters of the write subsystem (RingCluster::Writes()).
@@ -158,7 +154,7 @@ class WriteLog {
   // ---- folding (background compactor) ---------------------------------------
 
   /// Tables whose pending deltas crossed the thresholds — or sat idle for a
-  /// full scan (see CompactionOptions::drain_idle) — by first-fragment id
+  /// full scan (the idle drain, see CompactionOptions) — by first-fragment id
   /// (the runtime maps that to the owning node).
   std::vector<std::pair<std::string, core::BatId>> TablesReadyToFold(
       const CompactionOptions& opts);

@@ -54,10 +54,7 @@ X2 := aggr.sum(X1);
 RingCluster::Options ChaosOptions(uint32_t nodes = 3) {
   RingCluster::Options opts;
   opts.num_nodes = nodes;
-  opts.node.load_all_period = FromMillis(2);
   opts.node.maintenance_period = FromMillis(5);
-  opts.node.adapt_period = FromMillis(10);
-  opts.node.initial_rotation_estimate = FromMillis(5);
   opts.node.min_resend_timeout = FromMillis(20);
   opts.resilience.heartbeat_period = FromMillis(5);
   opts.resilience.heartbeat_miss_threshold = 4;

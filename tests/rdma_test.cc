@@ -186,9 +186,8 @@ TEST(ChannelTest, CopyModesReusePooledReceiveFrames) {
   Channel ch(Opts(TransferMode::kNicOffload));
   for (int i = 0; i < 5; ++i) {
     ch.Send(1, MakeBuffer(std::string(2048, 'x')));
-    auto m = ch.TryReceive();
-    ASSERT_TRUE(m.has_value());
-    m.reset();  // releases the receive frame back to the channel pool
+    // The temporary releases the receive frame back to the channel pool.
+    ASSERT_TRUE(ch.TryReceive().has_value());
   }
   // Steady state: one receive frame cycles through the pool.
   EXPECT_EQ(ch.pool().allocations(), 1u);

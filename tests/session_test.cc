@@ -42,10 +42,6 @@ X2 := aggr.sum(X1);
 RingCluster::Options FastOptions(uint32_t nodes = 3) {
   RingCluster::Options opts;
   opts.num_nodes = nodes;
-  opts.node.load_all_period = FromMillis(2);
-  opts.node.maintenance_period = FromMillis(10);
-  opts.node.adapt_period = FromMillis(10);
-  opts.node.initial_rotation_estimate = FromMillis(5);
   opts.node.min_resend_timeout = FromMillis(20);
   return opts;
 }

@@ -319,10 +319,6 @@ class SqlDifferential : public ::testing::Test {
   void SetUp() override {
     runtime::RingCluster::Options opts;
     opts.num_nodes = 3;
-    opts.node.load_all_period = FromMillis(2);
-    opts.node.maintenance_period = FromMillis(10);
-    opts.node.adapt_period = FromMillis(10);
-    opts.node.initial_rotation_estimate = FromMillis(5);
     opts.node.min_resend_timeout = FromMillis(20);
     cluster = std::make_unique<runtime::RingCluster>(opts);
     Load(0, "sys.t.a", bat::MakeLngColumn({1, 2, 3, 4, 5, 6}));

@@ -255,10 +255,6 @@ class WriteRing : public ::testing::Test {
   static runtime::RingCluster::Options FastOptions() {
     runtime::RingCluster::Options opts;
     opts.num_nodes = 3;
-    opts.node.load_all_period = FromMillis(2);
-    opts.node.maintenance_period = FromMillis(10);
-    opts.node.adapt_period = FromMillis(10);
-    opts.node.initial_rotation_estimate = FromMillis(5);
     opts.node.min_resend_timeout = FromMillis(20);
     return opts;
   }

@@ -181,10 +181,6 @@ int main(int argc, char** argv) {
   runtime::RingCluster::Options opts;
   opts.num_nodes = nodes;
   opts.plan_workers = workers;
-  opts.node.load_all_period = FromMillis(2);
-  opts.node.maintenance_period = FromMillis(10);
-  opts.node.adapt_period = FromMillis(10);
-  opts.node.initial_rotation_estimate = FromMillis(5);
   if (budget_mb > 0) {
     // Two-tier store: a per-node budget below the working set spills cold
     // fragments to disk; \mem shows the tier split live.
