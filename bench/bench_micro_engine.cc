@@ -1,12 +1,12 @@
 // Micro-benchmarks of the BAT engine operators (M1): select / hash join /
 // merge join / fetch join (against its keyed merge twin) / semijoin / sort /
-// group-aggregate throughput, plus the bulk
-// BAT serializer on the ring hot path, the morsel-parallel engine with a
-// workers axis (par_* cases — select/join/aggregate since issue 3;
-// sort/topn, the radix-partitioned join build, and the two-pass string
-// gather since issue 5; --workers=N pins one point, --workers=0 sweeps
-// 1/2/4/8; --morsel_rows tunes the stealing granule, --scale shrinks the
-// parallel input for smoke runs), and the session query API on a live ring
+// group-aggregate throughput, plus the frame CRC (against its scalar twin)
+// and the bulk BAT serializer on the ring hot path, the morsel-parallel
+// engine with a workers axis (par_* cases: select/join/aggregate, sort/topn,
+// the radix-partitioned join build, and the two-pass string gather;
+// --workers=N pins one point, --workers=0 sweeps 1/2/4/8; --morsel_rows
+// tunes the stealing granule, --scale shrinks the parallel input for smoke
+// runs), and the session query API on a live ring
 // (query_prepared vs query_reparse, --sessions=1/4/16 concurrency axis).
 #include <algorithm>
 #include <atomic>
@@ -550,6 +550,29 @@ X4 := aggr.sum(X3);
                   rep.metrics["compression"] = compression ? 1.0 : 0.0;
                   return rep;
                 });
+  }
+
+  // The frame checksum every hop verifies: bat::Crc32 on its dispatched
+  // kernel, and the twin on the same buffer with the scalar paths forced
+  // (slicing-by-8). clmul reports which kernel the row ran.
+  // validate_bench_json.py gates their ratio, also on one-repeat smoke runs,
+  // so each repeat hashes at least 64 MiB: a lone stall must not decide it.
+  for (size_t n : {size_t{64} << 10, size_t{4} << 20}) {
+    const int crc_iters = std::max(iters, static_cast<int>((size_t{64} << 20) / n));
+    Rng rng(10);
+    std::string buf(n, '\0');
+    for (auto& c : buf) c = static_cast<char>(rng.Next());
+    for (const bool scalar : {false, true}) {
+      enc::ScopedForceScalar force(scalar);
+      harness.Run((scalar ? "crc32_scalar/" : "crc32/") + std::to_string(n),
+                  Params(n, crc_iters), [&] {
+                    for (int i = 0; i < crc_iters; ++i) Crc32(buf.data(), n);
+                    RepResult rep;
+                    rep.items = static_cast<double>(n) * crc_iters;
+                    rep.metrics["clmul"] = enc::ClmulEnabled() ? 1.0 : 0.0;
+                    return rep;
+                  });
+    }
   }
 
   // Ring hot path: encode + decode round trip of a column fragment, with a

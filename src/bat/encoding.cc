@@ -48,6 +48,15 @@ bool SimdEnabled() {
 #endif
 }
 
+bool ClmulEnabled() {
+#if DCY_ENC_X86
+  static const bool hw = __builtin_cpu_supports("pclmul");
+  return hw && !ForceScalar();
+#else
+  return false;
+#endif
+}
+
 // ---------------------------------------------------------------------------
 // Scalar kernels (the fallback, and the tail loops of the AVX2 paths)
 

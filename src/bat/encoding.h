@@ -9,8 +9,11 @@
 //
 // This header also hosts the encoding-aware SIMD kernels: AVX2 selection on
 // raw arrays and dictionary codes, FOR unpack, and code gather, each with a
-// scalar fallback behind runtime dispatch (__builtin_cpu_supports). The
-// scalar paths are bit-identical and exercised in CI via DCY_FORCE_SCALAR.
+// scalar fallback behind runtime dispatch (__builtin_cpu_supports). The same
+// dispatch, and the same force-scalar switch, select the frame checksum's
+// kernel: bat::Crc32 folds with carry-less multiply (PCLMULQDQ) where the
+// host has it and runs slicing-by-8 otherwise. The scalar paths are
+// bit-identical and exercised in CI via DCY_FORCE_SCALAR.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +44,9 @@ struct ScopedWireCompression {
   bool prev_;
 };
 
-/// Forces the scalar fallback even on AVX2 hardware (differential tests and
-/// the CI sanitizer matrix). Also settable via env DCY_FORCE_SCALAR=1.
+/// Forces the scalar fallbacks, slicing-by-8 CRC included, even on
+/// AVX2/PCLMUL hardware (differential tests and the CI sanitizer matrix).
+/// Also settable via env DCY_FORCE_SCALAR=1.
 void SetForceScalar(bool on);
 bool ForceScalar();
 
@@ -57,6 +61,10 @@ struct ScopedForceScalar {
 /// True when the AVX2 paths will actually run (hardware support and not
 /// forced scalar).
 bool SimdEnabled();
+
+/// True when bat::Crc32 folds with carry-less multiply (PCLMULQDQ support
+/// and not forced scalar).
+bool ClmulEnabled();
 
 // ---------------------------------------------------------------------------
 // Bit packing

@@ -2,6 +2,7 @@
 // algebra operators, and serialization round-trips.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -430,6 +431,62 @@ TEST(SerializeTest, DetectsCorruption) {
 TEST(SerializeTest, Crc32KnownVector) {
   // CRC32("123456789") == 0xCBF43926 (IEEE reference value).
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+}
+
+/// Bit-at-a-time CRC-32 from the reflected IEEE polynomial: the register
+/// after `n` more bytes, neither inverted on entry nor on exit.
+uint32_t BitwiseCrc32Update(uint32_t reg, const uint8_t* p, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    reg ^= p[i];
+    for (int k = 0; k < 8; ++k) reg = (reg >> 1) ^ (0xEDB88320u & (0u - (reg & 1)));
+  }
+  return reg;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> out(n);
+  for (auto& b : out) b = static_cast<uint8_t>(rng.Next());
+  return out;
+}
+
+TEST(SerializeTest, Crc32MatchesBitwiseReference) {
+  // The known vector is 9 bytes and never reaches the carry-less-multiply
+  // fold, and a round trip that hashes at one alignment cannot catch a
+  // wrong fold constant because writer and reader share the kernel. Every
+  // length 0-2048 from every 16-byte alignment covers the unaligned head,
+  // the fold with one to many 64-byte steps, the 16-byte steps and the
+  // tail; the two large buffers cover long runs of the four-lane loop.
+  const std::vector<uint8_t> data = RandomBytes(2048, 19);
+  std::vector<uint32_t> expect(data.size() + 1);
+  uint32_t reg = 0xFFFFFFFFu;
+  for (size_t n = 0; n <= data.size(); ++n) {
+    if (n > 0) reg = BitwiseCrc32Update(reg, &data[n - 1], 1);
+    expect[n] = reg ^ 0xFFFFFFFFu;
+  }
+  std::vector<std::pair<std::vector<uint8_t>, uint32_t>> large;
+  for (size_t n : {(size_t{1} << 20) + 7, (size_t{4} << 20) + 13}) {
+    std::vector<uint8_t> bytes = RandomBytes(n, n);
+    const uint32_t crc = BitwiseCrc32Update(0xFFFFFFFFu, bytes.data(), n) ^ 0xFFFFFFFFu;
+    large.emplace_back(std::move(bytes), crc);
+  }
+
+  std::vector<uint8_t> buf(data.size() + 32);
+  uint8_t* aligned = buf.data() + ((0 - reinterpret_cast<uintptr_t>(buf.data())) & 15);
+  for (bool scalar : {false, true}) {
+    enc::ScopedForceScalar force(scalar);
+    for (size_t offset = 0; offset < 16; ++offset) {
+      std::memcpy(aligned + offset, data.data(), data.size());
+      for (size_t n = 0; n <= data.size(); ++n) {
+        ASSERT_EQ(Crc32(aligned + offset, n), expect[n])
+            << "scalar=" << scalar << " offset=" << offset << " n=" << n;
+      }
+    }
+    for (const auto& [bytes, crc] : large) {
+      EXPECT_EQ(Crc32(bytes.data(), bytes.size()), crc)
+          << "scalar=" << scalar << " n=" << bytes.size();
+    }
+  }
 }
 
 }  // namespace
