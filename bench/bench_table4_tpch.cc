@@ -166,11 +166,13 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(budget_mb));
   }
   runtime::RingCluster ring(opts);
+  uint64_t fragments = 0;  // LoadBat calls: what an owner encodes once each
   {
     core::NodeId owner = 0;
     for (auto& [name, b] : workload::TpchBats(data)) {
       DCY_CHECK_OK(ring.LoadBat(owner, name, std::move(b)));
       owner = (owner + 1) % nodes;
+      ++fragments;
     }
   }
   ring.Start();
@@ -244,11 +246,12 @@ int main(int argc, char** argv) {
   // blocked pins served without the §4.2.3 resend timer (resend_rescues).
   const runtime::RingCluster::ResilienceMetrics res = ring.Resilience();
   const runtime::RingCluster::BandwidthMetrics bw = ring.Bandwidth();
-  uint64_t resends = 0, resend_rescues = 0;
+  uint64_t resends = 0, resend_rescues = 0, loads = 0;
   for (uint32_t n = 0; n < nodes; ++n) {
     const core::DcNodeMetrics dc = ring.NodeMetrics(n);
     resends += dc.resends;
     resend_rescues += dc.resend_rescues;
+    loads += dc.bats_loaded;
   }
   harness.Run("resilience",
               {{"scale", Fmt("%.3f", scale)}, {"nodes", std::to_string(nodes)}},
@@ -320,18 +323,26 @@ int main(int argc, char** argv) {
                     static_cast<double>(mem.recovered_from_disk);
                 rep.metrics["refetched_from_ring"] =
                     static_cast<double>(mem.refetched_from_ring);
+                rep.metrics["loads_from_disk"] = static_cast<double>(bw.loads_from_disk);
                 return rep;
               });
   // Wire-compression counters as their own bench row: bytes/hop and the
-  // encoded/raw ratio are the headline numbers of the codec layer.
+  // encoded/raw ratio are the headline numbers of the codec layer. Owners
+  // encode each payload once, so without spills (budget) or folds (writes)
+  // `frames` stays at or below `fragments` however often they reload.
   harness.Run("bandwidth",
               {{"scale", Fmt("%.3f", scale)},
                {"nodes", std::to_string(nodes)},
-               {"compression", compression ? "1" : "0"}},
+               {"compression", compression ? "1" : "0"},
+               {"budget_mb", std::to_string(budget_mb)},
+               {"writes", std::to_string(writes)}},
               [&] {
                 bench::RepResult rep;
                 rep.items = 1;
                 rep.metrics["frames"] = static_cast<double>(bw.frames_encoded);
+                rep.metrics["loads"] = static_cast<double>(loads);
+                rep.metrics["fragments"] = static_cast<double>(fragments);
+                rep.metrics["memo_bytes"] = static_cast<double>(bw.memo_bytes);
                 rep.metrics["raw_bytes"] = static_cast<double>(bw.raw_bytes);
                 rep.metrics["wire_bytes"] = static_cast<double>(bw.wire_bytes);
                 rep.metrics["bytes_per_hop"] =
@@ -349,9 +360,13 @@ int main(int argc, char** argv) {
                 return rep;
               });
   std::printf(
-      "bandwidth: %llu frames encoded, %llu -> %llu bytes (ratio %.3f), "
+      "bandwidth: %llu frames encoded for %llu loads of %llu fragments "
+      "(%llu memoized bytes), %llu -> %llu bytes (ratio %.3f), "
       "%.0f bytes/hop over %llu hops (%llu dict / %llu for / %llu plain columns)\n",
       static_cast<unsigned long long>(bw.frames_encoded),
+      static_cast<unsigned long long>(loads),
+      static_cast<unsigned long long>(fragments),
+      static_cast<unsigned long long>(bw.memo_bytes),
       static_cast<unsigned long long>(bw.raw_bytes),
       static_cast<unsigned long long>(bw.wire_bytes),
       bw.raw_bytes ? static_cast<double>(bw.wire_bytes) / static_cast<double>(bw.raw_bytes)
@@ -364,11 +379,13 @@ int main(int argc, char** argv) {
   if (budget_mb > 0) {
     std::printf(
         "memory: %llu spills (%llu bytes), %llu evictions, %llu promotions, "
-        "%llu rejections, %llu resident / %llu spilled bytes at exit\n",
+        "%llu loads from disk, %llu rejections, %llu resident / %llu spilled "
+        "bytes at exit\n",
         static_cast<unsigned long long>(mem.spills),
         static_cast<unsigned long long>(mem.spill_bytes),
         static_cast<unsigned long long>(mem.evictions),
         static_cast<unsigned long long>(mem.promotions),
+        static_cast<unsigned long long>(bw.loads_from_disk),
         static_cast<unsigned long long>(mem.admission_rejections),
         static_cast<unsigned long long>(mem.resident_bytes),
         static_cast<unsigned long long>(mem.spilled_bytes));

@@ -35,9 +35,9 @@ struct CodecStats {
   uint32_t plain_columns = 0;
 };
 
-/// \brief Plans the per-column codecs for one BAT once, then answers both
-/// halves of the ring's pooled-frame handshake — Acquire(encoded_size())
-/// followed by SerializeInto() — without re-running codec analysis.
+/// \brief Plans the per-column codecs for one BAT once, then answers its
+/// exact size, its encoding and its codec stats without re-running codec
+/// analysis.
 class FrameEncoder {
  public:
   explicit FrameEncoder(const Bat& b);
@@ -56,8 +56,8 @@ class FrameEncoder {
 
 /// Exact encoded frame size of `b` (header, both columns, CRC footer).
 /// Convenience wrapper over FrameEncoder: deterministic, but plans codecs
-/// afresh — pair EncodedSize/SerializeInto calls are fine, the ring hot
-/// path uses FrameEncoder to plan once.
+/// afresh — pair EncodedSize/SerializeInto calls are fine, the ring's
+/// owner loads use FrameEncoder to plan once.
 size_t EncodedSize(const Bat& b);
 
 /// Encodes into `*out`, replacing its contents. The buffer is resized to

@@ -221,9 +221,13 @@ class RingCluster::Node final : public core::DcEnv {
   }
 
   /// Service-thread-owned wire-compression counters of this node's
-  /// serialize/send path. Read via PostSync (or any serialized context on a
-  /// crashed node).
-  const BandwidthMetrics& wire() const { return wire_; }
+  /// serialize/send path, with the memoized-frame gauge. Read via PostSync
+  /// (or any serialized context on a crashed node).
+  BandwidthMetrics wire() const {
+    BandwidthMetrics w = wire_;
+    for (const auto& [_, memo] : encoded_) w.memo_bytes += memo.frame->size();
+    return w;
+  }
 
   // ---- lifecycle -------------------------------------------------------------
 
@@ -333,6 +337,7 @@ class RingCluster::Node final : public core::DcEnv {
     decoded_.clear();
     decoded_in_store_.clear();
     decode_rejected_.clear();
+    encoded_.clear();
     current_payload_ = nullptr;
     current_payload_crc_ = 0;
     data_in_->Reopen();
@@ -518,40 +523,10 @@ class RingCluster::Node final : public core::DcEnv {
     rdma::Buffer payload;
     uint32_t payload_crc = 0;
     if (is_load) {
-      auto b = store_.GetById(header.bat_id);
-      if (!b.ok() && (b.status().code() == StatusCode::kCorruption ||
-                      b.status().code() == StatusCode::kNotFound)) {
-        // Corruption: the spilled image of an owned fragment rotted on disk
-        // and the store already deleted it. NotFound: this node became the
-        // owner through a re-homing while its only registered copy was a
-        // transient decoded-cache entry that the cache upkeep has since
-        // dropped. Either way the cluster registry still holds the durable
-        // payload — re-materialize from it and retry once.
-        if (cluster_->RefetchFragment(header.bat_id, this).ok()) {
-          b = store_.GetById(header.bat_id);
-        }
-      }
-      if (!b.ok()) {
-        DCY_LOG(kError) << "node " << id_ << " cannot load BAT " << header.bat_id << ": "
-                        << b.status().ToString();
-        return;
-      }
-      // Serialize into a pooled frame: the frame circulates the ring
-      // zero-copy and returns to this pool when the last hop releases it.
-      // FrameEncoder plans per-column codecs once for both the size and
-      // the encode, and reports what compression bought this frame.
-      const bat::FrameEncoder enc(**b);
-      auto frame = frame_pool_.Acquire(enc.encoded_size());
-      enc.SerializeInto(frame.get());
-      const bat::CodecStats& cs = enc.stats();
-      ++wire_.frames_encoded;
-      wire_.raw_bytes += cs.raw_bytes;
-      wire_.wire_bytes += cs.wire_bytes;
-      wire_.dict_columns += cs.dict_columns;
-      wire_.for_columns += cs.for_columns;
-      wire_.plain_columns += cs.plain_columns;
-      payload_crc = bat::Crc32(frame->data(), frame->size());
-      payload = std::move(frame);
+      const EncodedFrame* owned = OwnedFrame(header.bat_id);
+      if (owned == nullptr) return;
+      payload = owned->frame;
+      payload_crc = owned->crc;
     } else {
       payload = current_payload_;
       if (payload == nullptr) {
@@ -653,6 +628,76 @@ class RingCluster::Node final : public core::DcEnv {
   }
 
  private:
+  /// The wire frame of one payload object of an owned fragment, with its
+  /// payload CRC and codec stats. Fragments are immutable, so every load of
+  /// the same object ships the same bytes.
+  struct EncodedFrame {
+    std::weak_ptr<const bat::Bat> source;  ///< the payload object encoded
+    rdma::Buffer frame;                    ///< exact-size, shared read-only
+    uint32_t crc = 0;
+    bat::CodecStats stats;
+  };
+
+  /// The frame an owner load ships. The store's payload object is encoded
+  /// once and the frame memoized; a fold republish, a fault-in from the
+  /// disk tier, a refetch or a re-home brings a new object, and the next
+  /// load encodes that one. nullptr when the payload cannot be had.
+  const EncodedFrame* OwnedFrame(core::BatId id) {
+    // A spilled payload is read and decoded from disk by GetById, here on
+    // the service thread.
+    if (store_.IsSpilled(id)) ++wire_.loads_from_disk;
+    auto b = store_.GetById(id);
+    if (!b.ok() && (b.status().code() == StatusCode::kCorruption ||
+                    b.status().code() == StatusCode::kNotFound)) {
+      // Corruption: the spilled image of an owned fragment rotted on disk
+      // and the store already deleted it. NotFound: this node became the
+      // owner through a re-homing while its only registered copy was a
+      // transient decoded-cache entry that the cache upkeep has since
+      // dropped. Either way the cluster registry still holds the durable
+      // payload — re-materialize from it and retry once.
+      if (cluster_->RefetchFragment(id, this).ok()) b = store_.GetById(id);
+    }
+    if (!b.ok()) {
+      DCY_LOG(kError) << "node " << id_ << " cannot load BAT " << id << ": "
+                      << b.status().ToString();
+      return nullptr;
+    }
+    EncodedFrame& memo = encoded_[id];
+    if (memo.source.lock() != *b) {
+      // One codec plan sizes the frame exactly, encodes it, and reports
+      // what compression bought it.
+      const bat::FrameEncoder enc(**b);
+      auto frame = std::make_shared<std::string>();
+      enc.SerializeInto(frame.get());
+      ++wire_.frames_encoded;
+      memo.source = *b;
+      memo.crc = bat::Crc32(frame->data(), frame->size());
+      memo.stats = enc.stats();
+      memo.frame = std::move(frame);
+    }
+    const bat::CodecStats& cs = memo.stats;
+    wire_.raw_bytes += cs.raw_bytes;
+    wire_.wire_bytes += cs.wire_bytes;
+    wire_.dict_columns += cs.dict_columns;
+    wire_.for_columns += cs.for_columns;
+    wire_.plain_columns += cs.plain_columns;
+    return &memo;
+  }
+
+  /// Drops memoized frames whose payload object the store no longer holds
+  /// in memory (spilled, dropped or republished), so memoized bytes stay
+  /// within the wire size of the payloads this owner keeps resident.
+  void TrimEncoded() {
+    for (auto it = encoded_.begin(); it != encoded_.end();) {
+      auto resident = store_.GetResident(it->first);
+      if (resident.ok() && *resident == it->second.source.lock()) {
+        ++it;
+      } else {
+        it = encoded_.erase(it);
+      }
+    }
+  }
+
   void ResolveWaiter(core::QueryId query, core::BatId bat, Result<bat::BatPtr> value) {
     std::promise<Result<bat::BatPtr>> promise;
     {
@@ -959,6 +1004,7 @@ class RingCluster::Node final : public core::DcEnv {
       if (now >= next_maintenance) {
         dc_->OnMaintenanceTimer();
         SweepAdmissionQueue();
+        TrimEncoded();
         next_maintenance = now + node_opts.maintenance_period;
         did_work = true;
       }
@@ -1074,7 +1120,8 @@ class RingCluster::Node final : public core::DcEnv {
   /// Payload-only CRC of current_payload_, forwarded hop to hop so a
   /// forward never rescans the payload on the send path.
   uint32_t current_payload_crc_ = 0;
-  rdma::BufferPool frame_pool_;  ///< serialization frames for owned loads
+  /// Memoized load frames of owned fragments (OwnedFrame, TrimEncoded).
+  std::unordered_map<core::BatId, EncodedFrame> encoded_;
   std::vector<rdma::Message> drain_;  ///< service-loop batch receive scratch
   std::unordered_map<core::BatId, bat::BatPtr> decoded_;
   /// Decoded frames charged to the store (one pin each until TrimDecoded).
@@ -1567,19 +1614,23 @@ void RingCluster::CompactionPass(core::NodeId node) {
     if (folded->rebased.empty()) continue;
     // Republish every rebased fragment under the new base version: the
     // cluster registry first (the durable copy re-homing and refetch read),
-    // then the owner's store, so subsequent pins resolve the new base.
-    Node* owner_node = nodes_[node].get();
+    // then its owner's store, so the owner's next load ships the new base.
+    // A table's columns may live on several nodes.
     for (auto& [id, fname, base] : folded->rebased) {
       const uint64_t bytes = base->ByteSize();
+      core::NodeId fragment_owner = core::kInvalidNode;
       {
         std::lock_guard<std::mutex> lock(directory_mu_);
         auto it = fragments_.find(id);
         if (it != fragments_.end()) {
           it->second.loader = base;
           it->second.size = bytes;
+          fragment_owner = it->second.owner;
         }
       }
-      if (!IsNodeAlive(node)) break;  // crashed between commit and republish
+      // A dead owner's restart or heir reads the registry, updated above.
+      if (!IsNodeAlive(fragment_owner)) continue;
+      Node* owner_node = nodes_[fragment_owner].get();
       // A pin landing between Drop and Admit re-fetches the new base from
       // the registry (updated above); its copy then wins the race and this
       // Admit reports AlreadyExists, which is success.
@@ -1856,6 +1907,8 @@ void RingCluster::BandwidthMetrics::Add(const BandwidthMetrics& other) {
   dict_columns += other.dict_columns;
   for_columns += other.for_columns;
   plain_columns += other.plain_columns;
+  memo_bytes += other.memo_bytes;
+  loads_from_disk += other.loads_from_disk;
 }
 
 RingCluster::BandwidthMetrics RingCluster::Bandwidth() const {

@@ -245,16 +245,24 @@ class RingCluster {
 
   /// \brief Wire-compression accounting summed over all nodes: what the
   /// ring actually shipped vs the all-pass-through frames it would have.
+  /// An owner encodes each payload object of a fragment once and ships the
+  /// memoized frame on every later load, so `frames_encoded` counts encodes
+  /// while the byte and codec-column counters count loads.
   struct BandwidthMetrics {
     uint64_t frames_encoded = 0;  ///< BAT frames serialized for the ring
-    uint64_t raw_bytes = 0;       ///< same frames with every column pass-through
-    uint64_t wire_bytes = 0;      ///< frame bytes actually produced
+    uint64_t raw_bytes = 0;       ///< loaded frames with every column pass-through
+    uint64_t wire_bytes = 0;      ///< loaded frame bytes
     uint64_t hops = 0;            ///< payload-bearing data-frame sends
     uint64_t hop_bytes = 0;       ///< payload bytes summed over those sends
-    // Per-column codec choices across all encoded frames.
+    // Per-column codec choices across all loaded frames.
     uint64_t dict_columns = 0;
     uint64_t for_columns = 0;
     uint64_t plain_columns = 0;
+    /// Gauge: bytes of the encoded frames owners keep for their next loads.
+    uint64_t memo_bytes = 0;
+    /// Owner loads whose payload sat in the disk tier, so the service thread
+    /// read and decoded its spill file before encoding.
+    uint64_t loads_from_disk = 0;
 
     /// Sums every counter of `other` into this (cluster aggregation).
     void Add(const BandwidthMetrics& other);

@@ -140,6 +140,47 @@ TEST_F(ChaosTest, LossyScheduleStillReturnsCorrectAnswers) {
             0u);
 }
 
+TEST_F(ChaosTest, CorruptingFabricNeverPoisonsAMemoizedFrame) {
+  // About one BAT frame in five arrives with a bit flipped. The injector
+  // damages a private copy, so the owner's memoized frame stays clean, and
+  // the retransmission that repairs a failed hop CRC re-sends it.
+  rdma::FaultInjector& fault = *MakeInjector(0xF8A3E);
+  rdma::FaultLink data;
+  data.channel = rdma::kFaultChannelData;
+  fault.AddRule(rdma::FaultInjector::Corrupt(data, 0.2));
+
+  auto opts = ChaosOptions();
+  opts.fault = &fault;
+  SetUpCluster(opts);
+  auto session = cluster->OpenSession(0);
+  ASSERT_TRUE(session.ok());
+
+  // Both fragments are remote for node 0; spaced queries let them unload,
+  // so their owners reload them many times.
+  constexpr uint64_t kFragments = 2;
+  uint64_t loads = 0;
+  for (int i = 0; i < 300 && loads < 6 * kFragments; ++i) {
+    auto result = session->Execute(kJoinPlan);
+    ASSERT_TRUE(result.ok()) << "query " << i << ": " << result.status().ToString();
+    std::multiset<int64_t> got;
+    for (size_t r = 0; r < result->result.num_rows(); ++r) {
+      got.insert(result->result.Int64At(r, 0));
+    }
+    ASSERT_EQ(got, (std::multiset<int64_t>{2, 3, 3})) << "query " << i;
+    ExpectSumCorrect(&*session);
+    std::this_thread::sleep_for(milliseconds(20));
+    loads = 0;
+    for (core::NodeId n = 0; n < 3; ++n) loads += cluster->NodeMetrics(n).bats_loaded;
+  }
+  ASSERT_GE(loads, 6 * kFragments) << "fragments were not reloaded often enough";
+  EXPECT_GT(fault.counters().corrupted.load(), 0u);
+  const auto res = cluster->Resilience();
+  EXPECT_GT(res.frames_corrupted, 0u);
+  EXPECT_EQ(res.decode_failures, 0u);
+  // Every reload shipped the frame encoded at the first load.
+  EXPECT_LE(cluster->Bandwidth().frames_encoded, kFragments);
+}
+
 TEST_F(ChaosTest, PartitionedLinkHealsAndQueriesResume) {
   rdma::FaultInjector& fault = *MakeInjector(0xBEEF);
   // Blackout of 30 consecutive data frames on the 1 -> 2 hop; the sender

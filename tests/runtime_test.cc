@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -216,6 +217,29 @@ TEST_F(RuntimeRing, RepeatedQueriesReuseTheHotSet) {
   const auto later = cluster->NodeMetrics(1);
   // The fragment stays hot between queries: few (if any) additional loads.
   EXPECT_LE(later.bats_loaded - first.bats_loaded, 3u);
+}
+
+TEST_F(RuntimeRing, ReloadsShipTheFrameEncodedAtTheFirstLoad) {
+  SetUpCluster(FastOptions());
+  // Both fragments are remote for node 0. Spaced queries let them cool and
+  // unload, so their owners load them again on the next request.
+  constexpr uint64_t kFragments = 2;
+  uint64_t loads = 0;
+  for (int i = 0; i < 200 && loads <= kFragments; ++i) {
+    auto result = Run(0, kTable1Plan);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectTable1Result(*result);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    loads = 0;
+    for (core::NodeId n = 0; n < 3; ++n) loads += cluster->NodeMetrics(n).bats_loaded;
+  }
+  ASSERT_GT(loads, kFragments) << "no fragment was ever reloaded";
+  const auto bw = cluster->Bandwidth();
+  // Each owner encoded its unchanged fragment once and reused the frame.
+  EXPECT_GE(bw.frames_encoded, 1u);
+  EXPECT_LE(bw.frames_encoded, kFragments);
+  // The byte counters still count every load, beyond the memoized frames.
+  EXPECT_GT(bw.wire_bytes, bw.memo_bytes);
 }
 
 }  // namespace

@@ -407,6 +407,51 @@ TEST_F(WriteRing, BackgroundCompactionFoldsAndReadsStayCorrect) {
   EXPECT_EQ(SelectV(), (std::multiset<int64_t>{20, 30, 40, 50, 60}));
 }
 
+TEST_F(WriteRing, FoldRepublishEncodesTheNewBaseOnTheNextLoad) {
+  auto opts = FastOptions();
+  opts.compaction.max_delta_count = 1;  // fold after every commit
+  opts.compaction.interval = FromMillis(5);
+  StartCluster(opts);
+
+  // Node 0 reads sys.u.v from its owner, node 1, which encodes it and keeps
+  // the frame. sys.u.id is node 0's own and never loads.
+  EXPECT_EQ(SelectV(), (std::multiset<int64_t>{10, 20, 30}));
+  const auto loaded = cluster->Bandwidth();
+  ASSERT_GE(loaded.frames_encoded, 1u);
+  ASSERT_GT(loaded.memo_bytes, 0u);
+
+  ASSERT_TRUE(Run("insert into u values (4, 40)").ok());
+  ASSERT_TRUE(WaitUntil(
+      [&] {
+        const auto m = cluster->Writes();
+        return m.compactions >= 1 && m.pending_deltas == 0;
+      },
+      milliseconds(10000)))
+      << "compactor never folded the insert";
+  // The fold republished a new base object, so the next maintenance tick
+  // drops the retired base's frame: the gauge falls by its whole size.
+  ASSERT_TRUE(WaitUntil([&] { return cluster->Bandwidth().memo_bytes == 0; },
+                        milliseconds(5000)))
+      << cluster->Bandwidth().memo_bytes << " memoized bytes left of "
+      << loaded.memo_bytes;
+
+  // Read until the owner loads sys.u.v again: that load encodes the new
+  // base, and every answer includes the committed row.
+  const uint64_t frames_at_fold = cluster->Bandwidth().frames_encoded;
+  const uint64_t loads_at_fold = cluster->NodeMetrics(1).bats_loaded;
+  for (int i = 0; i < 200 && cluster->NodeMetrics(1).bats_loaded == loads_at_fold;
+       ++i) {
+    ASSERT_EQ(SelectV(), (std::multiset<int64_t>{10, 20, 30, 40}));
+    std::this_thread::sleep_for(milliseconds(20));
+  }
+  ASSERT_GT(cluster->NodeMetrics(1).bats_loaded, loads_at_fold)
+      << "the owner never reloaded the folded fragment";
+  const auto reloaded = cluster->Bandwidth();
+  EXPECT_GT(reloaded.frames_encoded, frames_at_fold);
+  EXPECT_GT(reloaded.memo_bytes, 0u);
+  EXPECT_EQ(SelectV(), (std::multiset<int64_t>{10, 20, 30, 40}));
+}
+
 TEST_F(WriteRing, WritesToUnknownTablesFailAtPrepare) {
   StartCluster(FastOptions());
   auto bad = Run("insert into nosuch values (1)");

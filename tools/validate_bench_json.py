@@ -28,8 +28,14 @@ UPDATES_METRIC_KEYS = (
 # every column is pass-through, so encoded/raw must be ~1.0; with it
 # on the ratio is workload-dependent (incompressible columns pay one encoding
 # byte each), so only positivity is asserted.
+#
+# An owner encodes each payload object of a fragment once and ships the
+# memoized frame on every later load, so encodes (`frames`) never exceed
+# `loads`. Only a new payload object encodes again: a spill and fault-in
+# (--budget_mb) or a fold republish (--writes). Without either, a row whose
+# frames exceed its fragments re-encoded a fragment it had already encoded.
 BANDWIDTH_METRIC_KEYS = (
-    "frames", "raw_bytes", "wire_bytes", "bytes_per_hop",
+    "frames", "loads", "fragments", "raw_bytes", "wire_bytes", "bytes_per_hop",
     "encoded_vs_raw_bytes", "dict_columns", "for_columns", "plain_columns",
     "compression",
 )
@@ -39,6 +45,15 @@ def validate_bandwidth_case(path: str, case: dict) -> None:
     m = case.get("metrics", {})
     for key in BANDWIDTH_METRIC_KEYS:
         assert key in m, f"{path}: bandwidth row missing metric {key}"
+    assert m["frames"] <= m["loads"], \
+        f"{path}: bandwidth row encoded {m['frames']:.0f} frames for " \
+        f"{m['loads']:.0f} loads"
+    params = case.get("params", {})
+    if int(params.get("budget_mb", "0")) == 0 and int(params.get("writes", "0")) == 0:
+        assert m["frames"] <= m["fragments"], \
+            f"{path}: bandwidth row encoded {m['frames']:.0f} frames for " \
+            f"{m['fragments']:.0f} fragments with no spill or fold " \
+            f"(an unchanged fragment was encoded again)"
     ratio = m["encoded_vs_raw_bytes"]
     assert ratio > 0, f"{path}: bandwidth row has non-positive ratio {ratio}"
     if m["compression"] == 0:
