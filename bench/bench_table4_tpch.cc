@@ -242,8 +242,10 @@ int main(int argc, char** argv) {
 
   // Resilience counters as their own bench row, so lossy CI smoke runs leave
   // an auditable record (retransmits > 0 proves the schedule actually bit),
-  // and fault-free runs show retransmits staying small against hops and
-  // blocked pins served without the §4.2.3 resend timer (resend_rescues).
+  // and fault-free runs show retransmits staying small against hops,
+  // blocked pins served without the §4.2.3 resend timer (resend_rescues),
+  // and payload hashes bounded by the owner encodes (`frames`) each node
+  // hashes once.
   const runtime::RingCluster::ResilienceMetrics res = ring.Resilience();
   const runtime::RingCluster::BandwidthMetrics bw = ring.Bandwidth();
   uint64_t resends = 0, resend_rescues = 0, loads = 0;
@@ -260,6 +262,8 @@ int main(int argc, char** argv) {
                 rep.items = 1;
                 rep.metrics["retransmits"] = static_cast<double>(res.retransmits);
                 rep.metrics["hops"] = static_cast<double>(bw.hops);
+                rep.metrics["payload_hashes"] = static_cast<double>(res.payload_hashes);
+                rep.metrics["frames"] = static_cast<double>(bw.frames_encoded);
                 rep.metrics["reads"] = static_cast<double>(reads);
                 rep.metrics["resends"] = static_cast<double>(resends);
                 rep.metrics["resend_rescues"] = static_cast<double>(resend_rescues);
@@ -391,11 +395,14 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(mem.spilled_bytes));
   }
   std::printf(
-      "resilience: %llu retransmits over %llu hops, %llu resends (%llu rescues) "
-      "over %llu reads, %llu nacks, %llu corrupted, %llu dup, %llu gap (injected: "
-      "%llu dropped / %llu delayed / %llu dup / %llu corrupt)\n",
+      "resilience: %llu retransmits over %llu hops, %llu payload hashes for %llu "
+      "frames, %llu resends (%llu rescues) over %llu reads, %llu nacks, %llu "
+      "corrupted, %llu dup, %llu gap (injected: %llu dropped / %llu delayed / "
+      "%llu dup / %llu corrupt)\n",
       static_cast<unsigned long long>(res.retransmits),
       static_cast<unsigned long long>(bw.hops),
+      static_cast<unsigned long long>(res.payload_hashes),
+      static_cast<unsigned long long>(bw.frames_encoded),
       static_cast<unsigned long long>(resends),
       static_cast<unsigned long long>(resend_rescues),
       static_cast<unsigned long long>(reads),

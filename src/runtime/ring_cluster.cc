@@ -54,16 +54,6 @@ uint32_t HeaderCrc(const core::BatHeader& h) {
   return bat::Crc32(buf, off);
 }
 
-/// Verifies a data-channel frame at its receiver: the payload CRC, combined
-/// with the envelope and the frame's per-hop header CRC, must reproduce what
-/// the sender wrapped. Always on — one pass over the payload per hop.
-bool PayloadCrcOk(const rdma::Message& m, const net::FrameHeader& frame,
-                  uint32_t header_crc) {
-  return m.payload != nullptr &&
-         (header_crc ^ bat::Crc32(m.payload->data(), m.payload->size()) ^
-          net::EnvelopeCrc(frame)) == frame.payload_crc;
-}
-
 /// Longest a node's service thread sleeps when idle: its reaction latency
 /// to work posted from other threads.
 constexpr auto kIdleWait = std::chrono::microseconds(200);
@@ -133,6 +123,7 @@ class RingCluster::Node final : public core::DcEnv {
     uint64_t orphan_frames_dropped = 0;
     uint64_t frames_adopted = 0;
     uint64_t decode_failures = 0;
+    uint64_t payload_hashes = 0;
   };
 
   Node(RingCluster* cluster, core::NodeId id)
@@ -218,6 +209,7 @@ class RingCluster::Node final : public core::DcEnv {
     out->orphan_frames_dropped += hop_.orphan_frames_dropped;
     out->frames_adopted += hop_.frames_adopted;
     out->decode_failures += hop_.decode_failures;
+    out->payload_hashes += hop_.payload_hashes;
   }
 
   /// Service-thread-owned wire-compression counters of this node's
@@ -338,8 +330,8 @@ class RingCluster::Node final : public core::DcEnv {
     decoded_in_store_.clear();
     decode_rejected_.clear();
     encoded_.clear();
+    hashed_.clear();
     current_payload_ = nullptr;
-    current_payload_crc_ = 0;
     data_in_->Reopen();
     request_in_->Reopen();
     ctrl_in_->Reopen();
@@ -521,12 +513,10 @@ class RingCluster::Node final : public core::DcEnv {
 
   void SendBatMsg(const core::BatHeader& header, bool is_load) override {
     rdma::Buffer payload;
-    uint32_t payload_crc = 0;
     if (is_load) {
       const EncodedFrame* owned = OwnedFrame(header.bat_id);
       if (owned == nullptr) return;
       payload = owned->frame;
-      payload_crc = owned->crc;
     } else {
       payload = current_payload_;
       if (payload == nullptr) {
@@ -539,13 +529,14 @@ class RingCluster::Node final : public core::DcEnv {
                        << " without payload; leaving recovery to the owner";
         return;
       }
-      payload_crc = current_payload_crc_;
     }
     ++wire_.hops;
     wire_.hop_bytes += payload->size();
     Node* succ = successor_.load(std::memory_order_acquire);
     net::DataFrame df;
-    df.frame = data_out_.NextHeader(HeaderCrc(header) ^ payload_crc);
+    // The payload was hashed when it arrived here (a forward) or when its
+    // owner encoded it (a load), so its CRC comes from the memo.
+    df.frame = data_out_.NextHeader(HeaderCrc(header) ^ PayloadCrc(payload));
     df.bat = header;
     // meta = envelope + administrative header, payload = encoded BAT
     // (zero-copy); a copy stays in the retransmit window until ACKed.
@@ -629,13 +620,19 @@ class RingCluster::Node final : public core::DcEnv {
 
  private:
   /// The wire frame of one payload object of an owned fragment, with its
-  /// payload CRC and codec stats. Fragments are immutable, so every load of
-  /// the same object ships the same bytes.
+  /// codec stats (its CRC is in hashed_). Fragments are immutable, so every
+  /// load of the same object ships the same bytes.
   struct EncodedFrame {
     std::weak_ptr<const bat::Bat> source;  ///< the payload object encoded
     rdma::Buffer frame;                    ///< exact-size, shared read-only
-    uint32_t crc = 0;
     bat::CodecStats stats;
+  };
+
+  /// The CRC of one payload object's bytes. Payloads are immutable once
+  /// posted (rdma::Buffer), so the CRC holds for as long as the object lives.
+  struct HashedPayload {
+    std::weak_ptr<const std::string> object;
+    uint32_t crc = 0;
   };
 
   /// The frame an owner load ships. The store's payload object is encoded
@@ -671,8 +668,8 @@ class RingCluster::Node final : public core::DcEnv {
       enc.SerializeInto(frame.get());
       ++wire_.frames_encoded;
       memo.source = *b;
-      memo.crc = bat::Crc32(frame->data(), frame->size());
       memo.stats = enc.stats();
+      hashed_[frame.get()] = {frame, bat::Crc32(frame->data(), frame->size())};
       memo.frame = std::move(frame);
     }
     const bat::CodecStats& cs = memo.stats;
@@ -695,6 +692,26 @@ class RingCluster::Node final : public core::DcEnv {
       } else {
         it = encoded_.erase(it);
       }
+    }
+  }
+
+  /// The CRC of a payload's bytes, one pass per payload object: later laps,
+  /// retransmits and duplicates of an object this node has already hashed
+  /// (or, as its owner, encoded) reuse the CRC. A corrupting fabric damages
+  /// a private copy, a new object, which is hashed in full.
+  uint32_t PayloadCrc(const rdma::Buffer& payload) {
+    HashedPayload& memo = hashed_[payload.get()];
+    if (memo.object.lock() != payload) {
+      ++hop_.payload_hashes;
+      memo = {payload, bat::Crc32(payload->data(), payload->size())};
+    }
+    return memo.crc;
+  }
+
+  /// Drops the CRCs of payload objects that no longer exist.
+  void TrimHashed() {
+    for (auto it = hashed_.begin(); it != hashed_.end();) {
+      it = it->second.object.expired() ? hashed_.erase(it) : std::next(it);
     }
   }
 
@@ -803,9 +820,19 @@ class RingCluster::Node final : public core::DcEnv {
     if (m.meta.size() < sizeof(net::DataFrame)) return;
     const auto df = m.meta.As<net::DataFrame>();
     if (!ValidFrame(df.frame, &data_rx_)) return;
-    const uint32_t header_crc = HeaderCrc(df.bat);
-    const auto outcome =
-        data_rx_.OnFrame(df.frame, PayloadCrcOk(m, df.frame, header_crc));
+    // The payload CRC, combined with the envelope and the frame's per-hop
+    // header CRC, must reproduce what the sender wrapped.
+    bool crc_ok = false;
+    if (m.payload != nullptr) {
+      const uint32_t payload_crc = PayloadCrc(m.payload);
+      // Debug builds re-hash every arrival: the memo is only as sound as
+      // the premise that no payload changes after it is posted.
+      DCY_DCHECK(payload_crc == bat::Crc32(m.payload->data(), m.payload->size()))
+          << "payload object changed after it was posted";
+      crc_ok = (HeaderCrc(df.bat) ^ payload_crc ^ net::EnvelopeCrc(df.frame)) ==
+               df.frame.payload_crc;
+    }
+    const auto outcome = data_rx_.OnFrame(df.frame, crc_ok);
     if (outcome.send_nack) {
       SendNack(df.frame.sender, net::kChData, outcome.nack_epoch, outcome.nack_seq);
     }
@@ -828,9 +855,6 @@ class RingCluster::Node final : public core::DcEnv {
     }
 
     current_payload_ = m.payload;
-    // Strip envelope and admin-header halves: the cached value is the CRC of
-    // the payload bytes alone, re-wrapped per hop by SendBatMsg.
-    current_payload_crc_ = df.frame.payload_crc ^ net::EnvelopeCrc(df.frame) ^ header_crc;
     // Decode up front if local queries are blocked on it (delivery needs the
     // typed BAT) — cheap check, decode once.
     if (dc_->pins().HasBlocked(header.bat_id) && decoded_.count(header.bat_id) == 0) {
@@ -858,7 +882,6 @@ class RingCluster::Node final : public core::DcEnv {
     dc_->OnBatMsg(header);
     store_.NoteRingLoi(header.bat_id, header.loi);
     current_payload_ = nullptr;
-    current_payload_crc_ = 0;
     TrimDecoded();
   }
 
@@ -1005,6 +1028,7 @@ class RingCluster::Node final : public core::DcEnv {
         dc_->OnMaintenanceTimer();
         SweepAdmissionQueue();
         TrimEncoded();
+        TrimHashed();
         next_maintenance = now + node_opts.maintenance_period;
         did_work = true;
       }
@@ -1117,11 +1141,11 @@ class RingCluster::Node final : public core::DcEnv {
   std::vector<std::thread> runners_;
 
   rdma::Buffer current_payload_;
-  /// Payload-only CRC of current_payload_, forwarded hop to hop so a
-  /// forward never rescans the payload on the send path.
-  uint32_t current_payload_crc_ = 0;
   /// Memoized load frames of owned fragments (OwnedFrame, TrimEncoded).
   std::unordered_map<core::BatId, EncodedFrame> encoded_;
+  /// CRCs of the payload objects this node has hashed or encoded, keyed by
+  /// object identity (PayloadCrc, TrimHashed).
+  std::unordered_map<const std::string*, HashedPayload> hashed_;
   std::vector<rdma::Message> drain_;  ///< service-loop batch receive scratch
   std::unordered_map<core::BatId, bat::BatPtr> decoded_;
   /// Decoded frames charged to the store (one pin each until TrimDecoded).
@@ -1836,8 +1860,6 @@ Status RingCluster::RestartNode(core::NodeId node) {
     succ = nodes_[NextAliveLocked(node)].get();
   }
   comer->Restart(succ, pred);
-  alive_[node].store(true, std::memory_order_release);
-  dead_count_.fetch_sub(1, std::memory_order_relaxed);
   // Crash-safe recovery of the two-tier store: re-admit every checksum-valid
   // spill file from the node's disk tier (payloads stay on disk until
   // pinned); damaged files were deleted by the scan and their fragments —
@@ -1872,6 +1894,14 @@ Status RingCluster::RestartNode(core::NodeId node) {
   // Close the ring around the newcomer (fresh epochs towards it).
   if (pred != comer) pred->AdoptSuccessor(comer);
   if (succ != comer) succ->AdoptPredecessor(comer);
+  // Publish liveness last. Until the newcomer owns its fragments again and
+  // both neighbours have run their adoption tasks (the empty PostSyncs wait
+  // for them), a request that finds no owner must fail its pins with a
+  // retryable Unavailable (FragmentFailureStatus), not with NotFound.
+  pred->PostSync([] {});
+  succ->PostSync([] {});
+  alive_[node].store(true, std::memory_order_release);
+  dead_count_.fetch_sub(1, std::memory_order_relaxed);
   DCY_LOG(kInfo) << "node " << node << " restarted and re-spliced between "
                  << pred->id() << " and " << succ->id();
   return Status::OK();

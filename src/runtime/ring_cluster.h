@@ -198,7 +198,8 @@ class RingCluster {
 
   /// Brings a crashed node back: fresh protocol state, reopened channels,
   /// re-registered owned fragments (those not re-homed meanwhile), and a
-  /// re-splice into the ring between its current alive neighbours.
+  /// re-splice into the ring between its current alive neighbours. The
+  /// node counts as alive only once all of that is done.
   Status RestartNode(core::NodeId node);
 
   /// False once CrashNode(node) ran, true again after RestartNode(node).
@@ -214,6 +215,10 @@ class RingCluster {
     uint64_t frames_abandoned = 0;
     uint64_t link_resets = 0;
     uint64_t frames_corrupted = 0;   ///< CRC mismatches caught at receivers
+    /// Full payload passes that decided a data-frame verdict. A node hashes
+    /// each payload object once and reuses its CRC for later arrivals of the
+    /// same object; an owner's own frames are hashed when encoded, not here.
+    uint64_t payload_hashes = 0;
     uint64_t frames_duplicate = 0;
     uint64_t frames_gap = 0;
     uint64_t frames_stale = 0;

@@ -141,13 +141,23 @@ TEST_F(ChaosTest, LossyScheduleStillReturnsCorrectAnswers) {
 }
 
 TEST_F(ChaosTest, CorruptingFabricNeverPoisonsAMemoizedFrame) {
-  // About one BAT frame in five arrives with a bit flipped. The injector
-  // damages a private copy, so the owner's memoized frame stays clean, and
-  // the retransmission that repairs a failed hop CRC re-sends it.
+  // After a clean warm-up, in which every node hashes both circulating
+  // frames, about one BAT frame in five arrives with a bit flipped, and
+  // every frame arrives twice. The injector damages a private copy, so the
+  // owner's memoized frame stays clean, and the retransmission that repairs
+  // a failed hop CRC re-sends it. A node's CRC memo must neither vouch for
+  // a damaged copy of a frame it knows nor pass the duplicate of a damaged
+  // copy it has already hashed.
   rdma::FaultInjector& fault = *MakeInjector(0xF8A3E);
   rdma::FaultLink data;
   data.channel = rdma::kFaultChannelData;
-  fault.AddRule(rdma::FaultInjector::Corrupt(data, 0.2));
+  constexpr uint64_t kWarmFrames = 24;  // per link, before the first fault
+  rdma::FaultRule corrupt = rdma::FaultInjector::Corrupt(data, 0.2);
+  corrupt.from_frame = kWarmFrames;
+  rdma::FaultRule duplicate = rdma::FaultInjector::Duplicate(data, 1.0);
+  duplicate.from_frame = kWarmFrames;
+  fault.AddRule(corrupt);
+  fault.AddRule(duplicate);
 
   auto opts = ChaosOptions();
   opts.fault = &fault;
@@ -173,10 +183,16 @@ TEST_F(ChaosTest, CorruptingFabricNeverPoisonsAMemoizedFrame) {
     for (core::NodeId n = 0; n < 3; ++n) loads += cluster->NodeMetrics(n).bats_loaded;
   }
   ASSERT_GE(loads, 6 * kFragments) << "fragments were not reloaded often enough";
-  EXPECT_GT(fault.counters().corrupted.load(), 0u);
-  const auto res = cluster->Resilience();
-  EXPECT_GT(res.frames_corrupted, 0u);
-  EXPECT_EQ(res.decode_failures, 0u);
+  // Every damaged copy fails its hop CRC twice: on arrival, and again as
+  // its own duplicate.
+  fault.ClearRules();
+  const uint64_t damaged = fault.counters().corrupted.load();
+  EXPECT_GT(damaged, 0u);
+  EXPECT_TRUE(Eventually(
+      [&] { return cluster->Resilience().frames_corrupted == 2 * damaged; }))
+      << cluster->Resilience().frames_corrupted << " failed hop CRCs for " << damaged
+      << " damaged copies";
+  EXPECT_EQ(cluster->Resilience().decode_failures, 0u);
   // Every reload shipped the frame encoded at the first load.
   EXPECT_LE(cluster->Bandwidth().frames_encoded, kFragments);
 }
@@ -479,6 +495,68 @@ TEST_F(ChaosTest, RestartRecoversSpilledFragmentsAndRehomesCorruptOnes) {
   EXPECT_GE(after.corrupt_spill_files, before.corrupt_spill_files + 1);
   EXPECT_GE(after.refetched_from_ring, before.refetched_from_ring + 1);
 
+  ASSERT_TRUE(Eventually([&] {
+    auto result = session->Execute(kSumPlan);
+    return result.ok() && std::get<int64_t>(result->result.scalar()) == 10;
+  })) << "queries never recovered after restart";
+}
+
+TEST_F(ChaosTest, PinsDuringARestartFailRetryableUntilTheOwnerIsBack) {
+  namespace fs = std::filesystem;
+  // Node 1 owns sys.t.id and 24 fillers of 100k distinct ints; a budget of
+  // about one filler spills the rest, so its restart first reads megabytes
+  // of spill files back from disk before it re-registers its fragments.
+  std::vector<int32_t> values(100000);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<int32_t>(i * 2654435761u);
+  }
+  const auto filler = bat::Bat::MakeColumn(bat::MakeIntColumn(values));
+  auto opts = ChaosOptions();
+  opts.resilience.auto_rehome = false;  // fragments stay with their owner
+  opts.spill_dir = ::testing::TempDir() + "/chaos_spill_restart_window";
+  fs::remove_all(opts.spill_dir);
+  opts.memory.budget_bytes = filler->ByteSize() + 512;
+  opts.memory.async_spill = false;
+  opts.memory.spill_high_watermark = 1.0;
+  opts.memory.spill_low_watermark = 1.0;
+  cluster = std::make_unique<RingCluster>(opts);
+  ASSERT_TRUE(cluster
+                  ->LoadBat(1, "sys.t.id",
+                            bat::Bat::MakeColumn(bat::MakeIntColumn({1, 2, 3, 4})))
+                  .ok());
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_TRUE(cluster->LoadBat(1, "sys.f" + std::to_string(i) + ".v", filler).ok());
+  }
+  cluster->Start();
+  ASSERT_GE(cluster->NodeMemory(1).spills, 20u);
+  auto session = cluster->OpenSession(0);
+  ASSERT_TRUE(session.ok());
+
+  ASSERT_TRUE(cluster->CrashNode(1).ok());
+  ASSERT_TRUE(Eventually([&] { return cluster->Resilience().ring_resplices >= 1; }));
+
+  // Pins of the dead owner's fragment, without retries, all through the
+  // restart: each one fails with a retryable Unavailable until the owner
+  // serves the fragment again, and never with NotFound.
+  std::atomic<bool> restarted{false};
+  std::vector<Status> failures;
+  uint64_t attempts = 0;
+  std::thread pinner([&] {
+    while (!restarted.load()) {
+      ++attempts;
+      auto result = session->Execute(kSumPlan);
+      if (!result.ok()) failures.push_back(result.status());
+    }
+  });
+  std::this_thread::sleep_for(milliseconds(20));
+  const Status restart = cluster->RestartNode(1);
+  restarted.store(true);
+  pinner.join();
+  ASSERT_TRUE(restart.ok()) << restart.ToString();
+  EXPECT_GT(attempts, 1u);
+  for (const Status& failure : failures) {
+    EXPECT_TRUE(failure.IsUnavailable()) << failure.ToString();
+  }
   ASSERT_TRUE(Eventually([&] {
     auto result = session->Execute(kSumPlan);
     return result.ok() && std::get<int64_t>(result->result.scalar()) == 10;

@@ -242,5 +242,26 @@ TEST_F(RuntimeRing, ReloadsShipTheFrameEncodedAtTheFirstLoad) {
   EXPECT_GT(bw.wire_bytes, bw.memo_bytes);
 }
 
+TEST_F(RuntimeRing, EachNodeHashesAPayloadObjectOnce) {
+  SetUpCluster(FastOptions());
+  // Back-to-back queries keep both fragments hot, so the same two frames
+  // circle the ring lap after lap. A node hashes a frame when it first
+  // arrives and reuses the CRC on every later lap; an owner never hashes
+  // its own frame on arrival (it has the CRC from the encode).
+  uint64_t hops = 0;
+  for (int i = 0; i < 500 && hops < 200; ++i) {
+    auto result = Run(0, kTable1Plan);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectTable1Result(*result);
+    hops = cluster->Bandwidth().hops;
+  }
+  const uint64_t hashes = cluster->Resilience().payload_hashes;
+  const auto bw = cluster->Bandwidth();
+  ASSERT_GE(bw.hops, 200u) << "the frames did not circle long enough";
+  EXPECT_GE(hashes, 1u);
+  EXPECT_LE(hashes, 3 * bw.frames_encoded);
+  EXPECT_GE(bw.hops, 20 * hashes);
+}
+
 }  // namespace
 }  // namespace dcy::runtime

@@ -76,6 +76,11 @@ def validate_bandwidth_case(path: str, case: dict) -> None:
 # reaches its requester sooner, and in the Debug sanitizer builds its first
 # delivery can take 200-730 ms, so resends fire while the first request is
 # still being served.
+#
+# A node hashes each payload object once and reuses its CRC for every later
+# arrival of the same object. On a clean fabric every payload is an owner's
+# encode (`frames`), so a row whose payload hashes exceed nodes x frames
+# re-hashed an object some node had already verified.
 RESILIENCE_INJECTED_KEYS = (
     "injected_dropped", "injected_delayed", "injected_duplicated",
     "injected_corrupted",
@@ -86,8 +91,8 @@ CLEAN_FABRIC_MAX_RESCUES_PER_READ = 0.02
 
 def validate_resilience_case(path: str, case: dict) -> None:
     m = case.get("metrics", {})
-    for key in ("retransmits", "hops", "reads", "resends", "resend_rescues",
-                "optimized_build") + RESILIENCE_INJECTED_KEYS:
+    for key in ("retransmits", "hops", "payload_hashes", "frames", "reads", "resends",
+                "resend_rescues", "optimized_build") + RESILIENCE_INJECTED_KEYS:
         assert key in m, f"{path}: resilience row missing metric {key}"
     if any(m[key] != 0 for key in RESILIENCE_INJECTED_KEYS):
         return
@@ -95,6 +100,10 @@ def validate_resilience_case(path: str, case: dict) -> None:
     assert m["retransmits"] <= bound, \
         f"{path}: {m['retransmits']:.0f} retransmits over {m['hops']:.0f} hops " \
         f"on a fault-free fabric (bound {bound:.0f})"
+    bound = int(case.get("params", {})["nodes"]) * m["frames"]
+    assert m["payload_hashes"] <= bound, \
+        f"{path}: {m['payload_hashes']:.0f} payload hashes for {m['frames']:.0f} " \
+        f"owner encodes on a fault-free fabric (bound {bound:.0f})"
     if m["optimized_build"]:
         bound = CLEAN_FABRIC_MAX_RESCUES_PER_READ * m["reads"]
         assert m["resend_rescues"] <= bound, \
