@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <unordered_set>
 
@@ -61,6 +62,11 @@ constexpr auto kIdleWait = std::chrono::microseconds(200);
 /// Logical BAT-queue capacity per node: the load admission and LOIT input
 /// of the protocol. The data channel blocks senders at four times this.
 constexpr uint64_t kBatQueueCapacity = 64 * kMB;
+
+/// Longest a store admission of a durable fragment waits for spill I/O to
+/// make room: 10 s for a bulk load, 5 s for a copy taken from the write log.
+constexpr std::chrono::milliseconds kLoadAdmitWait{10000};
+constexpr std::chrono::milliseconds kReadmitWait{5000};
 
 SimTime SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -650,8 +656,8 @@ class RingCluster::Node final : public core::DcEnv {
       // and the store already deleted it. NotFound: this node became the
       // owner through a re-homing while its only registered copy was a
       // transient decoded-cache entry that the cache upkeep has since
-      // dropped. Either way the cluster registry still holds the durable
-      // payload — re-materialize from it and retry once.
+      // dropped. Either way the write log still holds the durable payload
+      // — re-materialize from it and retry once.
       if (cluster_->RefetchFragment(id, this).ok()) b = store_.GetById(id);
     }
     if (!b.ok()) {
@@ -1231,7 +1237,7 @@ class SessionHooks final : public mal::DcHooks {
             node_->dc().owned().Find(bat) != nullptr) {
           // Spilled, or owned but not in the store (a fold's republish sits
           // between its Drop and Admit): fault it in from the disk tier or
-          // the cluster registry on this runner thread (the whole pin
+          // the write log on this runner thread (the whole pin
           // instruction already runs under a BlockingScope, so the executor
           // backfills the blocked slot).
           fault_in = true;
@@ -1504,37 +1510,25 @@ Status RingCluster::LoadBat(core::NodeId owner, const std::string& name, bat::Ba
   DCY_RETURN_NOT_OK(ValidateQualifiedName(name));
   const core::BatId id = next_bat_.fetch_add(1);
   const uint64_t size = bat->ByteSize();
-  const bat::ValType tail_type = bat->tail()->type();
-  {
-    std::lock_guard<std::mutex> lock(directory_mu_);
-    if (directory_.count(name) > 0) {
-      return Status::AlreadyExists("fragment \"" + name + "\" is already registered");
-    }
-    // Admission may wait on spill I/O when the node is near its budget —
-    // bulk loads beyond memory proceed at disk speed instead of failing.
-    DCY_RETURN_NOT_OK(nodes_[owner]->store().Admit(id, name, bat, /*durable=*/true,
-                                                   /*initial_pins=*/0,
-                                                   std::chrono::milliseconds(10000)));
-    directory_[name] = id;
-    column_types_[name] = tail_type;
-    fragments_[id] = FragmentInfo{name, owner, size, bat};
-  }
-  // Register the fragment with the write log (version 0 base). Rejects a
-  // column whose row count disagrees with its table's other columns — undo
-  // the registration so a failed load leaves no half-loaded fragment.
+  // Admission may wait on spill I/O when the node is near its budget — bulk
+  // loads beyond memory proceed at disk speed instead of failing. No lock is
+  // held meanwhile, so queries and service threads keep resolving fragments.
+  DCY_RETURN_NOT_OK(nodes_[owner]->store().Admit(id, name, bat, /*durable=*/true,
+                                                 /*initial_pins=*/0, kLoadAdmitWait));
+  // The write log records the fragment (version 0 base). It rejects a
+  // duplicate name and a column whose row count disagrees with its table's
+  // other columns — undo the admission so a failed load leaves nothing.
   const size_t last_dot = name.rfind('.');
-  Status write_reg = write_log_.RegisterFragment(id, name.substr(0, last_dot),
-                                                 name.substr(last_dot + 1), bat);
-  if (!write_reg.ok()) {
-    std::lock_guard<std::mutex> lock(directory_mu_);
+  Status registered = write_log_.RegisterFragment(
+      id, name.substr(0, last_dot), name.substr(last_dot + 1), std::move(bat));
+  if (!registered.ok()) {
     nodes_[owner]->store().Drop(id);
-    directory_.erase(name);
-    column_types_.erase(name);
-    fragments_.erase(id);
-    return write_reg;
+    return registered;
   }
-  // Outside directory_mu_: the service thread takes that lock in
-  // FragmentFailureStatus, so holding it across a PostSync would deadlock.
+  {
+    std::lock_guard<std::mutex> lock(owners_mu_);
+    owners_[id] = owner;
+  }
   if (started_.load()) {
     nodes_[owner]->PostSync([&] { nodes_[owner]->dc().AddOwnedBat(id, size); });
   } else {
@@ -1543,53 +1537,37 @@ Status RingCluster::LoadBat(core::NodeId owner, const std::string& name, bat::Ba
   return Status::OK();
 }
 
-sql::Schema RingCluster::SqlSchema() const {
-  std::map<std::string, bat::ValType> columns;
-  {
-    std::lock_guard<std::mutex> lock(directory_mu_);
-    columns = column_types_;
-  }
-  return sql::Schema::FromQualifiedColumns(columns);
-}
-
-Result<core::BatId> RingCluster::FindFragment(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(directory_mu_);
-  auto it = directory_.find(name);
-  if (it == directory_.end()) return Status::NotFound("no fragment named " + name);
-  return it->second;
+core::NodeId RingCluster::OwnerOf(core::BatId bat) const {
+  std::lock_guard<std::mutex> lock(owners_mu_);
+  auto it = owners_.find(bat);
+  return it == owners_.end() ? core::kInvalidNode : it->second;
 }
 
 void RingCluster::Start() {
   if (started_.exchange(true)) return;
   for (auto& node : nodes_) node->Start();
-  // Background compactors, one per node, owned by the cluster — CrashNode
-  // kills a node's threads without touching these, so a fold in flight on a
-  // dying node is abandoned by its commit guard, never by a join.
+  // The compactor is owned by the cluster — CrashNode kills a node's threads
+  // without touching it, so a fold in flight for a dying node is abandoned
+  // by its commit guard, never by a join.
   if (options_.compaction.enable) {
     {
       std::lock_guard<std::mutex> lock(compact_mu_);
-      compactors_stop_ = false;
+      compactor_stop_ = false;
     }
-    compactors_.reserve(options_.num_nodes);
-    for (uint32_t i = 0; i < options_.num_nodes; ++i) {
-      compactors_.emplace_back([this, i] { CompactorLoop(i); });
-    }
+    compactor_ = std::thread([this] { CompactorLoop(); });
   }
 }
 
 void RingCluster::Stop() {
   if (!started_.exchange(false)) return;
-  // Compactors first: a fold republishes through node stores and must not
-  // race the teardown below.
+  // The compactor first: a fold republishes through node stores and must
+  // not race the teardown below.
   {
     std::lock_guard<std::mutex> lock(compact_mu_);
-    compactors_stop_ = true;
+    compactor_stop_ = true;
   }
   compact_cv_.notify_all();
-  for (auto& t : compactors_) {
-    if (t.joinable()) t.join();
-  }
-  compactors_.clear();
+  if (compactor_.joinable()) compactor_.join();
   // Runner pools next (running queries unwind through the still-live
   // service threads), then the protocol layer. Crashed nodes are already
   // quiescent; both calls are no-ops for them.
@@ -1601,75 +1579,49 @@ void RingCluster::Stop() {
   }
 }
 
-void RingCluster::CompactorLoop(core::NodeId node) {
+void RingCluster::CompactorLoop() {
   const auto interval =
       std::chrono::nanoseconds(std::max<SimTime>(1, options_.compaction.interval));
   std::unique_lock<std::mutex> lock(compact_mu_);
-  while (!compactors_stop_) {
-    compact_cv_.wait_for(lock, interval);
-    if (compactors_stop_) return;
-    if (!IsNodeAlive(node)) continue;  // a dead node's compactor idles
+  while (!compact_cv_.wait_for(lock, interval, [this] { return compactor_stop_; })) {
     lock.unlock();
-    CompactionPass(node);
+    CompactionPass();
     lock.lock();
   }
 }
 
-void RingCluster::CompactionPass(core::NodeId node) {
+void RingCluster::CompactionPass() {
   const auto ready = write_log_.TablesReadyToFold(options_.compaction);
   for (const auto& [table, first_fragment] : ready) {
-    // A table is folded by the node owning its first fragment; after a
-    // re-homing the heir's compactor naturally takes over.
-    core::NodeId owner = core::kInvalidNode;
-    {
-      std::lock_guard<std::mutex> lock(directory_mu_);
-      auto it = fragments_.find(first_fragment);
-      if (it == fragments_.end()) continue;
-      owner = it->second.owner;
-    }
-    if (owner != node) continue;
+    // A table is folded for the node owning its first fragment; while that
+    // node is down the table waits, and after a re-homing its heir's
+    // liveness guards the fold instead.
+    const core::NodeId folder = OwnerOf(first_fragment);
+    if (!IsNodeAlive(folder)) continue;
     auto folded =
-        write_log_.FoldTable(table, [this, node] { return IsNodeAlive(node); });
-    if (!folded.ok()) {
-      // Aborted: this node died mid-fold (the guard rejected the commit and
-      // the log stands untouched) or a concurrent fold won. Retry later.
-      continue;
-    }
-    if (folded->rebased.empty()) continue;
-    // Republish every rebased fragment under the new base version: the
-    // cluster registry first (the durable copy re-homing and refetch read),
-    // then its owner's store, so the owner's next load ships the new base.
-    // A table's columns may live on several nodes.
-    for (auto& [id, fname, base] : folded->rebased) {
-      const uint64_t bytes = base->ByteSize();
-      core::NodeId fragment_owner = core::kInvalidNode;
-      {
-        std::lock_guard<std::mutex> lock(directory_mu_);
-        auto it = fragments_.find(id);
-        if (it != fragments_.end()) {
-          it->second.loader = base;
-          it->second.size = bytes;
-          fragment_owner = it->second.owner;
-        }
-      }
-      // A dead owner's restart or heir reads the registry, updated above.
-      if (!IsNodeAlive(fragment_owner)) continue;
-      Node* owner_node = nodes_[fragment_owner].get();
-      // A pin landing between Drop and Admit re-fetches the new base from
-      // the registry (updated above); its copy then wins the race and this
-      // Admit reports AlreadyExists, which is success.
+        write_log_.FoldTable(table, [this, folder] { return IsNodeAlive(folder); });
+    // Aborted: the folder died mid-fold (the guard rejected the commit and
+    // the log stands untouched). Retried at a later pass.
+    if (!folded.ok() || folded->rebased.empty()) continue;
+    // The log holds the new bases now; republish each on its owner's store
+    // so the owner's next load ships it. A table's columns may live on
+    // several nodes. A pin on the owner between Drop and Admit re-fetches
+    // the new base from the log; its copy then wins the race and this
+    // admission reports AlreadyExists, which is success.
+    for (const auto& [id, fname, base] : folded->rebased) {
+      const core::NodeId owner = OwnerOf(id);
+      if (!IsNodeAlive(owner)) continue;  // its restart or heir reads the log
+      Node* owner_node = nodes_[owner].get();
       owner_node->store().Drop(id);
-      Status admitted = owner_node->store().Admit(id, fname, base, /*durable=*/true,
-                                                  /*initial_pins=*/0,
-                                                  std::chrono::milliseconds(10000));
+      Status admitted = AdmitFromLog(id, owner_node);
       if (!admitted.ok() && admitted.code() != StatusCode::kAlreadyExists) {
-        // The registry still carries the folded payload; the next pin
-        // refetches it from there.
+        // The log still carries the folded payload; the next pin refetches
+        // it from there.
         DCY_LOG(kWarn) << "republish of folded fragment " << fname
                        << " failed: " << admitted.ToString();
       }
     }
-    DCY_LOG(kInfo) << "node " << node << " folded " << folded->deltas_folded
+    DCY_LOG(kInfo) << "node " << folder << " folded " << folded->deltas_folded
                    << " delta(s) of " << table << " into base version "
                    << folded->new_version;
   }
@@ -1756,88 +1708,71 @@ void RingCluster::ReportSuspect(core::NodeId reporter, core::NodeId suspect) {
 }
 
 void RingCluster::HandleDeadFragments(core::NodeId suspect, core::NodeId heir) {
-  struct Rehome {
-    core::BatId id;
-    std::string name;
-    uint64_t size;
-    bat::BatPtr loader;
-  };
-  std::vector<Rehome> rehomes;
-  std::vector<core::BatId> failed;
+  const bool rehome = options_.resilience.auto_rehome;
+  std::vector<core::BatId> orphaned;
   {
-    std::lock_guard<std::mutex> lock(directory_mu_);
-    for (auto& [id, info] : fragments_) {
-      if (info.owner != suspect) continue;
-      if (options_.resilience.auto_rehome) {
-        info.owner = heir;
-        rehomes.push_back(Rehome{id, info.name, info.size, info.loader});
-      } else {
-        failed.push_back(id);
+    std::lock_guard<std::mutex> lock(owners_mu_);
+    for (auto& [id, owner] : owners_) {
+      if (owner != suspect) continue;
+      if (rehome) owner = heir;
+      orphaned.push_back(id);
+    }
+  }
+  if (orphaned.empty()) return;
+  if (!rehome) {
+    // Without re-homing the fragments are gone: every node fails its
+    // waiting queries with a typed Unavailable instead of letting pins hang.
+    for (const core::BatId id : orphaned) {
+      for (auto& n : nodes_) {
+        if (n->crashed()) continue;
+        Node* node = n.get();
+        node->Post([node, id] { node->dc().FailBat(id); });
       }
     }
+    return;
   }
-  if (!rehomes.empty()) {
-    Node* heir_node = nodes_[heir].get();
-    for (auto& r : rehomes) {
-      // The heir may have seen this name before (a restarted node's second
-      // death); AlreadyExists just means the payload is still registered.
-      Status reg = heir_node->store().Admit(r.id, r.name, r.loader, /*durable=*/true,
-                                            /*initial_pins=*/0,
-                                            std::chrono::milliseconds(5000));
-      if (!reg.ok() && reg.code() != StatusCode::kAlreadyExists) {
-        DCY_LOG(kError) << "re-home of fragment " << r.name << " failed: "
-                        << reg.ToString();
-        continue;
-      }
-      heir_node->Post([heir_node, id = r.id, size = r.size] {
-        heir_node->dc().AddOwnedBat(id, size);
-      });
+  Node* heir_node = nodes_[heir].get();
+  for (const core::BatId id : orphaned) {
+    // AlreadyExists: the heir holds a copy under this id already (a
+    // ring-delivered one, which OwnedFrame replaces from the log once the
+    // cache upkeep drops it).
+    uint64_t bytes = 0;
+    Status admitted = AdmitFromLog(id, heir_node, &bytes);
+    if (!admitted.ok() && admitted.code() != StatusCode::kAlreadyExists) {
+      DCY_LOG(kError) << "re-home of fragment " << id
+                      << " failed: " << admitted.ToString();
+      continue;
     }
-    std::lock_guard<std::mutex> lock(ring_mu_);
-    rehomed_fragments_ += rehomes.size();
-    DCY_LOG(kInfo) << rehomes.size() << " fragment(s) of dead node " << suspect
-                   << " re-homed to node " << heir;
+    heir_node->Post([heir_node, id, bytes] { heir_node->dc().AddOwnedBat(id, bytes); });
   }
-  // Without re-homing the fragments are gone: every node fails its waiting
-  // queries with a typed Unavailable instead of letting pins hang.
-  for (const core::BatId id : failed) {
-    for (auto& n : nodes_) {
-      if (n->crashed()) continue;
-      Node* node = n.get();
-      node->Post([node, id] { node->dc().FailBat(id); });
-    }
-  }
+  std::lock_guard<std::mutex> lock(ring_mu_);
+  rehomed_fragments_ += orphaned.size();
+  DCY_LOG(kInfo) << orphaned.size() << " fragment(s) of dead node " << suspect
+                 << " re-homed to node " << heir;
 }
 
-Status RingCluster::RefetchFragment(core::BatId bat, Node* node) {
-  std::string name;
-  bat::BatPtr loader;
-  {
-    std::lock_guard<std::mutex> lock(directory_mu_);
-    auto it = fragments_.find(bat);
-    if (it == fragments_.end()) {
-      return Status::NotFound("fragment " + std::to_string(bat) +
-                              " is not in the cluster registry");
-    }
-    name = it->second.name;
-    loader = it->second.loader;
-  }
-  Status admitted = node->store().Admit(bat, name, loader, /*durable=*/true,
-                                        /*initial_pins=*/0,
-                                        std::chrono::milliseconds(5000));
+Status RingCluster::AdmitFromLog(core::BatId bat, Node* node, uint64_t* bytes) {
+  DCY_ASSIGN_OR_RETURN(write::FragmentRecord record, write_log_.Fragment(bat));
+  if (bytes != nullptr) *bytes = record.base->ByteSize();
+  return node->store().Admit(bat, record.name, std::move(record.base), /*durable=*/true,
+                             /*initial_pins=*/0, kReadmitWait);
+}
+
+Status RingCluster::RefetchFragment(core::BatId bat, Node* node, uint64_t* bytes) {
+  Status admitted = AdmitFromLog(bat, node, bytes);
   if (admitted.code() == StatusCode::kAlreadyExists) return Status::OK();
   if (admitted.ok()) node->store().NoteRefetched();
   return admitted;
 }
 
 Status RingCluster::FragmentFailureStatus(core::BatId bat) {
-  std::lock_guard<std::mutex> lock(directory_mu_);
-  auto it = fragments_.find(bat);
-  if (it != fragments_.end() && !IsNodeAlive(it->second.owner)) {
+  const core::NodeId owner = OwnerOf(bat);
+  if (owner != core::kInvalidNode && !IsNodeAlive(owner)) {
     unavailable_failures_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Unavailable("fragment \"" + it->second.name + "\" (BAT " +
-                               std::to_string(bat) + ") is on crashed node " +
-                               std::to_string(it->second.owner));
+    const auto record = write_log_.Fragment(bat);
+    const std::string name = record.ok() ? record->name : "?";
+    return Status::Unavailable("fragment \"" + name + "\" (BAT " + std::to_string(bat) +
+                               ") is on crashed node " + std::to_string(owner));
   }
   return Status::NotFound("BAT " + std::to_string(bat) + " does not exist");
 }
@@ -1862,27 +1797,34 @@ Status RingCluster::RestartNode(core::NodeId node) {
   comer->Restart(succ, pred);
   // Crash-safe recovery of the two-tier store: re-admit every checksum-valid
   // spill file from the node's disk tier (payloads stay on disk until
-  // pinned); damaged files were deleted by the scan and their fragments —
-  // like everything never spilled — are re-materialized from the ring's
-  // durable registry below.
+  // pinned). Files of fragments re-homed while the node was down belong to
+  // their heir now: drop them. Damaged files were deleted by the scan and
+  // their fragments — like everything never spilled — are re-materialized
+  // from the write log below.
   const auto recovered = comer->store().Recover();
+  size_t disowned = 0;
+  for (const storage::SpillInfo& info : recovered.recovered) {
+    if (OwnerOf(info.id) == node) continue;
+    comer->store().Drop(info.id);
+    ++disowned;
+  }
   if (!recovered.recovered.empty() || recovered.corrupt_files > 0) {
     DCY_LOG(kInfo) << "node " << node << " recovery: " << recovered.recovered.size()
-                   << " fragment(s) reloaded from disk, " << recovered.corrupt_files
+                   << " fragment(s) reloaded from disk (" << disowned
+                   << " owned elsewhere now, dropped), " << recovered.corrupt_files
                    << " damaged spill file(s) discarded";
   }
   // Re-introduce the node's surviving fragments (those not re-homed while
   // it was down) to its fresh protocol state.
   std::vector<std::pair<core::BatId, uint64_t>> owned;
   {
-    std::lock_guard<std::mutex> lock(directory_mu_);
-    for (const auto& [id, info] : fragments_) {
-      if (info.owner == node) owned.emplace_back(id, info.size);
+    std::lock_guard<std::mutex> lock(owners_mu_);
+    for (const auto& [id, owner] : owners_) {
+      if (owner == node) owned.emplace_back(id, 0);
     }
   }
-  for (const auto& [id, size] : owned) {
-    if (comer->store().Contains(id)) continue;
-    Status refetched = RefetchFragment(id, comer);
+  for (auto& [id, size] : owned) {
+    Status refetched = RefetchFragment(id, comer, &size);
     if (!refetched.ok()) {
       DCY_LOG(kError) << "node " << node << " cannot re-materialize fragment " << id
                       << ": " << refetched.ToString();

@@ -20,7 +20,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -103,8 +102,9 @@ class RingCluster {
     /// Not owned; must outlive the cluster. nullptr = fault-free fabric.
     rdma::FaultInjector* fault = nullptr;
     /// Background compaction of pending write deltas into new base
-    /// fragments (write/write_log.h). One compactor thread per node; a
-    /// table is folded by the node owning its first fragment.
+    /// fragments (write/write_log.h). One cluster compactor thread folds
+    /// each table for the node owning its first fragment, whose liveness
+    /// guards the fold's commit.
     write::CompactionOptions compaction;
   };
 
@@ -153,20 +153,26 @@ class RingCluster {
   Result<QueryHandle> Submit(core::NodeId node, const PreparedQueryPtr& prepared,
                              const SubmitOptions& options = {});
 
-  /// Directory lookup: the BAT id registered for "schema.table.column".
-  Result<core::BatId> FindFragment(const std::string& name) const;
+  /// Directory lookup (in the write log): the BAT id registered for
+  /// "schema.table.column".
+  Result<core::BatId> FindFragment(const std::string& name) const {
+    return write_log_.FindFragment(name);
+  }
 
-  /// SQL schema derived from the BATs registered via LoadBat (tail value
-  /// types, keyed by qualified name). Snapshot: BATs loaded later are not
-  /// reflected in previously returned schemas.
-  sql::Schema SqlSchema() const;
+  /// SQL schema derived from the BATs registered via LoadBat (the write
+  /// log's tail value types, keyed by qualified name). Snapshot: BATs
+  /// loaded later are not reflected in previously returned schemas.
+  sql::Schema SqlSchema() const {
+    return sql::Schema::FromQualifiedColumns(write_log_.ColumnTypes());
+  }
 
   // ---- writes: versioned fragments resolved through the write log ---------
 
-  /// The cluster write log: commit authority for INSERT/DELETE, versioned
-  /// fragment views, and the fold machinery. A commit reaches readers only
-  /// through it: the ring carries base fragments, and every pin resolves
-  /// its fragment here at the query's snapshot. Exposed for tests and tools
+  /// The cluster write log: the fragment directory (name, tail type and
+  /// durable payload of every fragment), commit authority for INSERT/DELETE,
+  /// versioned fragment views, and the fold machinery. A commit reaches
+  /// readers only through it: the ring carries base fragments, and every pin
+  /// resolves its fragment here at the query's snapshot. Exposed for tests and tools
   /// (SetFoldHookForTest, TableVersions); queries go through SQL/MAL.
   write::WriteLog& write_log() { return write_log_; }
   const write::WriteLog& write_log() const { return write_log_; }
@@ -313,40 +319,42 @@ class RingCluster {
   /// Unavailable when its registered owner is down, NotFound otherwise.
   Status FragmentFailureStatus(core::BatId bat);
 
-  /// Re-materializes `bat` into `node`'s store from the cluster fragment
-  /// registry (the ring's durable copy) after a corrupt or lost spill
-  /// image. NotFound when the registry has no such fragment.
-  Status RefetchFragment(core::BatId bat, Node* node);
+  /// The owner map's entry for `bat` (kInvalidNode when unregistered).
+  core::NodeId OwnerOf(core::BatId bat) const;
+
+  /// Admits the write log's base of `bat` (the ring's durable copy) into
+  /// `node`'s store as a durable frame: the one way a re-home, refetch,
+  /// restart or fold republish puts a fragment on its owner. AlreadyExists
+  /// when the store holds `bat` already; `bytes` receives the payload size.
+  Status AdmitFromLog(core::BatId bat, Node* node, uint64_t* bytes = nullptr);
+
+  /// AdmitFromLog after a corrupt or lost spill image, counted as a refetch
+  /// (`refetched_from_ring`); OK when the store holds `bat` already.
+  /// NotFound when the log has no such fragment.
+  Status RefetchFragment(core::BatId bat, Node* node, uint64_t* bytes = nullptr);
 
   /// Neighbour walk over the original ring order, skipping spliced-out
   /// nodes. Callers hold ring_mu_.
   core::NodeId NextAliveLocked(core::NodeId from) const;
   core::NodeId PrevAliveLocked(core::NodeId from) const;
 
-  /// One compactor sweep on behalf of `node`: folds every threshold-crossed
-  /// table whose first fragment `node` owns, then republishes the rebased
-  /// fragments under the new base version.
-  void CompactionPass(core::NodeId node);
-  /// Body of a node's background compactor thread.
-  void CompactorLoop(core::NodeId node);
+  /// One compactor sweep: folds every threshold-crossed table whose first
+  /// fragment's owner is alive, guarded by that owner's liveness, then
+  /// republishes the rebased fragments on their owners.
+  void CompactionPass();
+  /// Body of the cluster's background compactor thread.
+  void CompactorLoop();
 
   Options options_;
   /// True when the cluster created a private temp spill root (removed on
   /// destruction).
   bool owns_spill_dir_ = false;
   std::vector<std::unique_ptr<Node>> nodes_;
-  /// Global name -> fragment directory (guarded by directory_mu_).
-  mutable std::mutex directory_mu_;
-  std::unordered_map<std::string, core::BatId> directory_;
-  /// Cluster-level fragment registry: everything needed to re-materialize a
-  /// fragment when its owner dies (guarded by directory_mu_).
-  struct FragmentInfo {
-    std::string name;
-    core::NodeId owner = 0;
-    uint64_t size = 0;
-    bat::BatPtr loader;  ///< the persistent payload, for re-homing
-  };
-  std::unordered_map<core::BatId, FragmentInfo> fragments_;
+  /// The node owning each fragment (paper §4.2: one owner per BAT), the
+  /// cluster's only fragment state beside the write log. Re-homing moves
+  /// entries to the heir.
+  mutable std::mutex owners_mu_;
+  std::unordered_map<core::BatId, core::NodeId> owners_;
 
   // ---- ring membership (guarded by ring_mu_ unless noted) -------------------
   mutable std::mutex ring_mu_;
@@ -362,9 +370,6 @@ class RingCluster {
   uint64_t rehomed_fragments_ = 0;
   double last_recovery_seconds_ = 0.0;
   std::chrono::steady_clock::time_point crashed_at_{};
-  /// Tail value type per qualified name (guarded by directory_mu_); feeds
-  /// the SQL front end's schema so SELECTs resolve against loaded BATs.
-  std::map<std::string, bat::ValType> column_types_;
   std::atomic<core::BatId> next_bat_{1};
   std::atomic<core::QueryId> next_query_{1};
   std::atomic<bool> started_{false};
@@ -375,16 +380,16 @@ class RingCluster {
   PlanCacheStats plan_cache_stats_;
 
   // ---- the write subsystem --------------------------------------------------
-  /// Cluster-level commit log (thread-safe on its own mutex). No node keeps
-  /// or forwards a commit; every pin resolves its fragment's deltas here.
+  /// Cluster-level commit log and fragment directory (thread-safe on its own
+  /// mutex). No node keeps or forwards a commit; every pin resolves its
+  /// fragment's deltas here.
   write::WriteLog write_log_;
-  /// Background compactors, one per node, owned by the cluster (never by
-  /// the node threads: CrashNode must not join them). Started in Start(),
-  /// joined in Stop().
-  std::vector<std::thread> compactors_;
   std::mutex compact_mu_;
   std::condition_variable compact_cv_;
-  bool compactors_stop_ = false;  ///< guarded by compact_mu_
+  bool compactor_stop_ = false;  ///< guarded by compact_mu_
+  /// The background compactor, owned by the cluster (never by a node:
+  /// CrashNode must not join it). Started in Start(), joined in Stop().
+  std::thread compactor_;
 };
 
 }  // namespace dcy::runtime

@@ -123,7 +123,6 @@ void FragmentStore::EraseFrameLocked(Frame* f) {
   resident_bytes_ -= f->bytes;
   --counters_.frames_resident;
   ++counters_.evictions;
-  if (!f->name.empty()) by_name_.erase(f->name);
   interest_.Forget(f->id);
   frames_.erase(f->id);
   space_cv_.notify_all();
@@ -331,9 +330,6 @@ Status FragmentStore::Admit(core::BatId id, const std::string& name, bat::BatPtr
     return Status::AlreadyExists("fragment " + std::to_string(id) +
                                  " already in the store");
   }
-  if (!name.empty() && by_name_.count(name) != 0) {
-    return Status::AlreadyExists("fragment name '" + name + "' already in the store");
-  }
   const auto deadline = max_wait.count() <= 0
                             ? std::chrono::steady_clock::now()
                             : std::chrono::steady_clock::now() + max_wait;
@@ -352,7 +348,6 @@ Status FragmentStore::Admit(core::BatId id, const std::string& name, bat::BatPtr
   f.pins = initial_pins;
   f.durable = durable;
   frames_.emplace(id, std::move(f));
-  if (!name.empty()) by_name_.emplace(name, id);
   resident_bytes_ += bytes;
   ++counters_.frames_resident;
   ++counters_.admissions;
@@ -405,7 +400,6 @@ Result<bat::BatPtr> FragmentStore::PinInternal(
       std::error_code ec;
       fs::remove(path, ec);
       if (it != frames_.end() && it->second.bat == nullptr) {
-        if (!it->second.name.empty()) by_name_.erase(it->second.name);
         ++counters_.evictions;  // frame leaves the store
         --counters_.frames_spilled;
         frames_.erase(it);
@@ -470,20 +464,6 @@ void FragmentStore::Unpin(core::BatId id) {
   if (--f.pins == 0) space_cv_.notify_all();
 }
 
-Result<bat::BatPtr> FragmentStore::GetByName(const std::string& name) {
-  core::BatId id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = by_name_.find(name);
-    if (it == by_name_.end()) {
-      return Status::NotFound("no BAT named '" + name + "'");
-    }
-    id = it->second;
-  }
-  return PinInternal(id, std::chrono::steady_clock::time_point::max(),
-                     /*take_pin=*/false);
-}
-
 Result<bat::BatPtr> FragmentStore::GetById(core::BatId id) {
   return PinInternal(id, std::chrono::steady_clock::time_point::max(),
                      /*take_pin=*/false);
@@ -529,7 +509,6 @@ void FragmentStore::Drop(core::BatId id) {
     std::error_code ec;
     fs::remove(PathOf(f), ec);
   }
-  if (!f.name.empty()) by_name_.erase(f.name);
   frames_.erase(it);
   interest_.Forget(id);
   space_cv_.notify_all();
@@ -591,7 +570,6 @@ FragmentStore::RecoveryReport FragmentStore::Recover() {
     }
     std::lock_guard<std::mutex> lock(mu_);
     if (frames_.count(info.id) != 0) continue;  // already known; keep as is
-    if (!info.name.empty() && by_name_.count(info.name) != 0) continue;
     Frame f;
     f.id = info.id;
     f.name = info.name;
@@ -599,7 +577,6 @@ FragmentStore::RecoveryReport FragmentStore::Recover() {
     f.durable = true;
     f.on_disk = true;  // payload stays on disk until first pin
     frames_.emplace(info.id, std::move(f));
-    if (!info.name.empty()) by_name_.emplace(info.name, info.id);
     ++counters_.frames_spilled;
     ++counters_.recovered_from_disk;
     report.recovered.push_back(info);
@@ -610,7 +587,6 @@ FragmentStore::RecoveryReport FragmentStore::Recover() {
 void FragmentStore::ForgetAllForCrash() {
   std::lock_guard<std::mutex> lock(mu_);
   frames_.clear();
-  by_name_.clear();
   spill_queue_.clear();
   spill_queue_bytes_ = 0;
   resident_bytes_ = 0;

@@ -27,7 +27,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -35,7 +34,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "bat/fragment_source.h"
+#include "bat/bat.h"
 #include "common/status.h"
 #include "core/loi.h"
 #include "core/types.h"
@@ -45,7 +44,7 @@ namespace dcy::storage {
 
 struct FragmentStoreOptions {
   /// Hard byte budget for resident fragment payloads; 0 = unlimited (the
-  /// store degenerates to a plain in-memory catalog).
+  /// store degenerates to a plain in-memory map).
   uint64_t budget_bytes = 0;
   /// Directory of the disk tier; "" disables spilling (over-budget
   /// admissions then fail as soon as nothing droppable remains).
@@ -90,10 +89,13 @@ struct MemoryMetrics {
   void Add(const MemoryMetrics& other);
 };
 
-class FragmentStore final : public bat::FragmentSource {
+/// Frames are keyed by fragment id; the store is no catalog (the cluster's
+/// write log keeps fragment names). A frame keeps its name only to stamp it
+/// into its spill image.
+class FragmentStore final {
  public:
   explicit FragmentStore(FragmentStoreOptions options);
-  ~FragmentStore() override;
+  ~FragmentStore();
 
   FragmentStore(const FragmentStore&) = delete;
   FragmentStore& operator=(const FragmentStore&) = delete;
@@ -103,9 +105,9 @@ class FragmentStore final : public bat::FragmentSource {
   /// simply dropped. `initial_pins` arrives pinned (the caller owns the
   /// matching Unpin calls). Waits up to `max_wait` for the eviction thread
   /// to make room; 0 fails fast with typed backpressure. AlreadyExists if
-  /// the id or name is taken. A fold republishes its new base with Drop then
-  /// Admit; readers of a written table resolve the write log's base, not
-  /// this payload.
+  /// the id is taken. A fold republishes its new base with Drop then Admit;
+  /// readers of a written table resolve the write log's base, not this
+  /// payload.
   Status Admit(core::BatId id, const std::string& name, bat::BatPtr bat, bool durable,
                uint32_t initial_pins = 0,
                std::chrono::milliseconds max_wait = std::chrono::milliseconds(0));
@@ -128,10 +130,10 @@ class FragmentStore final : public bat::FragmentSource {
   /// force-dropped meanwhile).
   void Unpin(core::BatId id);
 
-  // FragmentSource: unpinned fetches (the returned shared_ptr keeps the
-  // payload alive for the caller even if the frame is evicted later).
-  Result<bat::BatPtr> GetByName(const std::string& name) override;
-  Result<bat::BatPtr> GetById(core::BatId id) override;
+  /// Unpinned fetch, faulting a spilled frame in (the returned shared_ptr
+  /// keeps the payload alive for the caller even if the frame is evicted
+  /// later).
+  Result<bat::BatPtr> GetById(core::BatId id);
 
   /// Resident-only fetch without touching interest or pins; never blocks.
   Result<bat::BatPtr> GetResident(core::BatId id);
@@ -178,7 +180,7 @@ class FragmentStore final : public bat::FragmentSource {
  private:
   struct Frame {
     core::BatId id = core::kInvalidBat;
-    std::string name;
+    std::string name;  ///< stamped into the spill image
     bat::BatPtr bat;  ///< null while spilled
     uint64_t bytes = 0;
     uint32_t pins = 0;
@@ -220,7 +222,6 @@ class FragmentStore final : public bat::FragmentSource {
   std::condition_variable work_cv_;   ///< wakes the eviction thread
   std::condition_variable fault_cv_;  ///< fault-in of some frame finished
   std::unordered_map<core::BatId, Frame> frames_;
-  std::map<std::string, core::BatId> by_name_;
   std::unordered_set<core::BatId> faulting_;  ///< fault-in I/O in flight
   std::deque<core::BatId> spill_queue_;
   uint64_t spill_queue_bytes_ = 0;

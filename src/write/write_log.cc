@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <string_view>
 
 #include "common/logging.h"
 
@@ -33,30 +34,72 @@ void AppendSurvivors(bat::ColumnBuilder* b, const bat::Column& src,
 Status WriteLog::RegisterFragment(core::BatId id, const std::string& table,
                                   const std::string& column, bat::BatPtr base) {
   std::lock_guard<std::mutex> lock(mu_);
+  const std::string name = table + "." + column;
+  if (FindFragmentLocked(name) != nullptr) {
+    return Status::AlreadyExists("fragment \"" + name + "\" is already registered");
+  }
   TableState& t = tables_[table];
-  if (t.name.empty()) {
-    t.name = table;
+  if (t.columns.empty()) {
     t.base_rows = base->size();
     t.base_row_ids.resize(t.base_rows);
     for (size_t i = 0; i < t.base_rows; ++i) t.base_row_ids[i] = i;
     t.next_row_id = t.base_rows;
   } else if (base->size() != t.base_rows) {
-    return Status::InvalidArgument("fragment \"" + table + "." + column + "\" has " +
+    return Status::InvalidArgument("fragment \"" + name + "\" has " +
                                    std::to_string(base->size()) + " rows, table has " +
                                    std::to_string(t.base_rows));
   }
   FragmentState f;
   f.id = id;
-  f.name = table + "." + column;
+  f.name = name;
   f.base = std::move(base);
   fragment_index_[id] = {table, t.columns.size()};
   t.columns.push_back(std::move(f));
   return Status::OK();
 }
 
+const WriteLog::FragmentState* WriteLog::FindFragmentLocked(
+    const std::string& name) const {
+  const size_t dot = name.rfind('.');
+  if (dot == std::string::npos) return nullptr;
+  auto it = tables_.find(std::string_view(name).substr(0, dot));
+  if (it == tables_.end()) return nullptr;
+  for (const FragmentState& f : it->second.columns) {
+    if (f.name == name) return &f;
+  }
+  return nullptr;
+}
+
+Result<core::BatId> WriteLog::FindFragment(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const FragmentState* f = FindFragmentLocked(name);
+  if (f == nullptr) return Status::NotFound("no fragment named " + name);
+  return f->id;
+}
+
+Result<FragmentRecord> WriteLog::Fragment(core::BatId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = fragment_index_.find(id);
+  if (it == fragment_index_.end()) {
+    return Status::NotFound("fragment " + std::to_string(id) + " is not registered");
+  }
+  const auto& [table, column] = it->second;
+  const FragmentState& f = tables_.find(table)->second.columns[column];
+  return FragmentRecord{f.name, f.base};
+}
+
+std::map<std::string, bat::ValType> WriteLog::ColumnTypes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::map<std::string, bat::ValType> out;
+  for (const auto& [table, t] : tables_) {
+    for (const FragmentState& f : t.columns) out.emplace(f.name, f.base->tail_type());
+  }
+  return out;
+}
+
 WriteLog::TableState* WriteLog::FindTableLocked(const std::string& table) {
   auto it = tables_.find(table);
-  return it == tables_.end() || it->second.name.empty() ? nullptr : &it->second;
+  return it == tables_.end() || it->second.columns.empty() ? nullptr : &it->second;
 }
 
 uint64_t WriteLog::MinActiveSnapshotLocked() const {
@@ -259,7 +302,7 @@ Result<bat::BatPtr> WriteLog::ResolveView(core::BatId fragment,
     metrics_.snapshots_rejected++;
     return Status::FailedPrecondition(
         "snapshot " + std::to_string(snapshot) + " predates the compacted base of \"" +
-        t.name + "\" (version " + std::to_string(t.base_version) + ")");
+        it->second.first + "\" (version " + std::to_string(t.base_version) + ")");
   }
 
   // Effective version: the last commit visible at this snapshot. Readers at

@@ -55,7 +55,7 @@ struct CompactionOptions {
   /// compactor scans (the idle drain: without it a short tail would sit
   /// unfolded forever once writers go quiet).
   uint64_t max_delta_count = 64;
-  /// Cadence of each node's background compactor thread.
+  /// Cadence of the cluster's background compactor thread (one scan each).
   SimTime interval = FromMillis(25);
 };
 
@@ -94,6 +94,14 @@ struct FoldResult {
   std::vector<std::tuple<core::BatId, std::string, bat::BatPtr>> rebased;
 };
 
+/// \brief One registered fragment as the log records it: the cluster's only
+/// record of its qualified name and of its durable payload (whose tail type
+/// is the column's).
+struct FragmentRecord {
+  std::string name;  ///< qualified "schema.table.column"
+  bat::BatPtr base;  ///< the payload at the table's base version
+};
+
 /// \brief Per-table observability row (dcsql \tables, tests).
 struct TableVersionInfo {
   std::string table;  ///< qualified ("sys.lineitem")
@@ -103,16 +111,28 @@ struct TableVersionInfo {
   uint64_t pending_delta_bytes = 0;
 };
 
-/// \brief The cluster-level write log. Thread-safe; every mutation happens
-/// under one internal mutex (writes are orders of magnitude rarer than
-/// reads, and the read path short-circuits via an atomic when the cluster
-/// has never committed a write).
+/// \brief The cluster-level write log, and the fragment directory: every
+/// fragment's qualified name, tail type and durable payload live here and
+/// nowhere else (a fold replaces the payload). Thread-safe; every mutation
+/// happens under one internal mutex (writes are orders of magnitude rarer
+/// than reads, and the read path short-circuits via an atomic when the
+/// cluster has never committed a write).
 class WriteLog {
  public:
   /// Registers a base fragment at version 0. Fragments of one table must be
-  /// registered with equal row counts (column-store invariant).
+  /// registered with equal row counts (column-store invariant); a qualified
+  /// name registers once (AlreadyExists).
   Status RegisterFragment(core::BatId id, const std::string& table,
                           const std::string& column, bat::BatPtr base);
+
+  // ---- the fragment directory -----------------------------------------------
+
+  /// The id registered for "schema.table.column"; NotFound otherwise.
+  Result<core::BatId> FindFragment(const std::string& name) const;
+  /// The name and current base payload of fragment `id`; NotFound otherwise.
+  Result<FragmentRecord> Fragment(core::BatId id) const;
+  /// Tail type per qualified name, sorted by name (the SQL schema's source).
+  std::map<std::string, bat::ValType> ColumnTypes() const;
 
   // ---- commits --------------------------------------------------------------
 
@@ -201,8 +221,7 @@ class WriteLog {
   };
 
   struct TableState {
-    std::string name;
-    std::vector<FragmentState> columns;
+    std::vector<FragmentState> columns;  ///< registration order
     uint64_t base_version = 0;
     uint64_t base_rows = 0;
     std::vector<uint64_t> base_row_ids;  ///< strictly increasing
@@ -220,9 +239,10 @@ class WriteLog {
   std::vector<uint64_t> ViewRowIdsLocked(const TableState& t, uint64_t snapshot) const;
   uint64_t MinActiveSnapshotLocked() const;
   TableState* FindTableLocked(const std::string& table);
+  const FragmentState* FindFragmentLocked(const std::string& name) const;
 
   mutable std::mutex mu_;
-  std::map<std::string, TableState> tables_;
+  std::map<std::string, TableState, std::less<>> tables_;
   std::unordered_map<core::BatId, std::pair<std::string, size_t>> fragment_index_;
   uint64_t version_ = 0;
   std::map<uint64_t, uint32_t> active_snapshots_;

@@ -501,6 +501,48 @@ TEST_F(ChaosTest, RestartRecoversSpilledFragmentsAndRehomesCorruptOnes) {
   })) << "queries never recovered after restart";
 }
 
+TEST_F(ChaosTest, RestartedNodeKeepsOnlyTheFragmentsItOwns) {
+  namespace fs = std::filesystem;
+  const auto f1 = FillerBat(1);
+  auto opts = ChaosOptions();  // auto_rehome on: the heir inherits all three
+  opts.spill_dir = ::testing::TempDir() + "/chaos_spill_rehomed";
+  fs::remove_all(opts.spill_dir);
+  // One filler plus change, as above: t.id and f1 sit on node 1's disk.
+  opts.memory.budget_bytes = f1->ByteSize() + 512;
+  opts.memory.async_spill = false;
+  opts.memory.spill_high_watermark = 1.0;
+  opts.memory.spill_low_watermark = 1.0;
+  cluster = std::make_unique<RingCluster>(opts);
+  ASSERT_TRUE(cluster
+                  ->LoadBat(1, "sys.t.id",
+                            bat::Bat::MakeColumn(bat::MakeIntColumn({1, 2, 3, 4})))
+                  .ok());
+  ASSERT_TRUE(cluster->LoadBat(1, "sys.f1.v", f1).ok());
+  ASSERT_TRUE(cluster->LoadBat(1, "sys.f2.v", FillerBat(2)).ok());
+  cluster->Start();
+  ASSERT_GE(cluster->NodeMemory(1).spills, 2u);
+
+  ASSERT_TRUE(cluster->CrashNode(1).ok());
+  ASSERT_TRUE(Eventually([&] { return cluster->Resilience().rehomed_fragments >= 3; }))
+      << "fragments were never re-homed";
+  ASSERT_TRUE(cluster->RestartNode(1).ok());
+
+  // The heir owns all three now: the restarted node keeps no frame of them
+  // and its disk tier holds no spill file.
+  const auto mem = cluster->NodeMemory(1);
+  EXPECT_EQ(mem.frames_resident + mem.frames_spilled, 0u);
+  EXPECT_EQ(mem.spilled_bytes, 0u);
+  size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(opts.spill_dir + "/node1")) {
+    if (entry.path().extension() == ".frag") ++files;
+  }
+  EXPECT_EQ(files, 0u);
+
+  auto session = cluster->OpenSession(0);
+  ASSERT_TRUE(session.ok());
+  ExpectSumCorrect(&*session);
+}
+
 TEST_F(ChaosTest, PinsDuringARestartFailRetryableUntilTheOwnerIsBack) {
   namespace fs = std::filesystem;
   // Node 1 owns sys.t.id and 24 fillers of 100k distinct ints; a budget of

@@ -152,17 +152,14 @@ FragmentStoreOptions SyncOptions(uint64_t budget, const std::string& dir) {
 
 TEST(FragmentStoreTest, UnlimitedStoreActsAsPlainCatalog) {
   FragmentStore store(FragmentStoreOptions{});
-  ASSERT_TRUE(store.Admit(1, "sys.t.id", IntBat({1, 2}), /*durable=*/true).ok());
+  const auto bat = IntBat({1, 2});
+  ASSERT_TRUE(store.Admit(1, "sys.t.id", bat, /*durable=*/true).ok());
   EXPECT_EQ(store.Admit(1, "other", IntBat({3}), true).code(),
             StatusCode::kAlreadyExists);
-  EXPECT_EQ(store.Admit(2, "sys.t.id", IntBat({3}), true).code(),
-            StatusCode::kAlreadyExists);
-  auto by_name = store.GetByName("sys.t.id");
-  ASSERT_TRUE(by_name.ok());
   auto by_id = store.GetById(1);
   ASSERT_TRUE(by_id.ok());
-  EXPECT_EQ(by_name->get(), by_id->get());
-  EXPECT_EQ(store.GetByName("absent").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(by_id->get(), bat.get());
+  EXPECT_EQ(store.GetById(2).status().code(), StatusCode::kNotFound);
 }
 
 TEST(FragmentStoreTest, OverBudgetAdmissionFailsTypedWithNumbers) {
@@ -301,9 +298,9 @@ TEST(FragmentStoreTest, RecoverReloadsValidFilesAndDeletesCorruptOnes) {
 
   // Recovered frames are registered spilled; a pin faults them in.
   EXPECT_TRUE(store.IsSpilled(1));
-  auto by_name = store.GetByName("s.t.b");
-  ASSERT_TRUE(by_name.ok()) << by_name.status().ToString();
-  EXPECT_EQ((*by_name)->tail()->GetInt64(0), 2);
+  auto recovered = store.GetById(2);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->tail()->GetInt64(0), 2);
   const auto m = store.Metrics();
   EXPECT_EQ(m.recovered_from_disk, 2u);
   EXPECT_EQ(m.corrupt_spill_files, 1u);
