@@ -108,11 +108,10 @@ int main(int argc, char** argv) {
   const double corrupt = flags.GetDouble("corrupt", 0.0);
   const uint64_t fault_seed = static_cast<uint64_t>(flags.GetInt("fault_seed", 71));
   const uint32_t retries = static_cast<uint32_t>(flags.GetInt("retries", 3));
-  // Memory-pressure smoke: a per-node budget (0 = unlimited) below the
-  // working set forces the two-tier store to spill; answers must stay
-  // bit-identical. --spill_dir overrides the private temp dir.
+  // Memory-pressure smoke: a per-node budget (0 = unlimited) on the copies
+  // of ring BATs that queries hold; an over-budget copy is refused typed and
+  // retried. Answers must stay bit-identical.
   const uint64_t budget_mb = static_cast<uint64_t>(flags.GetInt("budget_mb", 0));
-  const std::string spill_dir = flags.GetString("spill_dir", "");
   // Read/write smoke: --writes=N appends N marker rows to lineitem from
   // concurrent writer threads (deleting every third one) while Q6 re-runs at
   // a snapshot pinned before the first write. The final state is validated
@@ -161,8 +160,7 @@ int main(int argc, char** argv) {
   }
   if (budget_mb > 0) {
     opts.memory.budget_bytes = budget_mb * 1024 * 1024;
-    opts.spill_dir = spill_dir;  // empty -> private temp dir per run
-    std::printf("# memory: per-node budget %llu MiB, two-tier spill enabled\n",
+    std::printf("# memory: per-node budget %llu MiB for ring copies\n",
                 static_cast<unsigned long long>(budget_mb));
   }
   runtime::RingCluster ring(opts);
@@ -294,8 +292,8 @@ int main(int argc, char** argv) {
                 return rep;
               });
   // Memory counters as their own bench row: a budgeted CI smoke run must
-  // show the spill path actually engaged (spills > 0) while every query
-  // above still validated.
+  // show ring copies were charged to the budget (admissions > 0) while every
+  // query above still validated.
   const storage::MemoryMetrics mem = ring.Memory();
   harness.Run("memory",
               {{"scale", Fmt("%.3f", scale)},
@@ -306,34 +304,17 @@ int main(int argc, char** argv) {
                 rep.items = 1;
                 rep.metrics["budget_bytes"] = static_cast<double>(mem.budget_bytes);
                 rep.metrics["resident_bytes"] = static_cast<double>(mem.resident_bytes);
-                rep.metrics["spilled_bytes"] = static_cast<double>(mem.spilled_bytes);
-                rep.metrics["spills"] = static_cast<double>(mem.spills);
-                rep.metrics["spill_bytes"] = static_cast<double>(mem.spill_bytes);
-                rep.metrics["evictions"] = static_cast<double>(mem.evictions);
-                rep.metrics["promotions"] = static_cast<double>(mem.promotions);
-                rep.metrics["promotion_bytes"] =
-                    static_cast<double>(mem.promotion_bytes);
+                rep.metrics["admissions"] = static_cast<double>(mem.admissions);
                 rep.metrics["admission_rejections"] =
                     static_cast<double>(mem.admission_rejections);
-                rep.metrics["pressure_waits"] =
-                    static_cast<double>(mem.pressure_waits);
                 rep.metrics["pressure_sheds"] =
                     static_cast<double>(mem.pressure_sheds);
-                rep.metrics["spill_failures"] =
-                    static_cast<double>(mem.spill_failures);
-                rep.metrics["corrupt_spill_files"] =
-                    static_cast<double>(mem.corrupt_spill_files);
-                rep.metrics["recovered_from_disk"] =
-                    static_cast<double>(mem.recovered_from_disk);
-                rep.metrics["refetched_from_ring"] =
-                    static_cast<double>(mem.refetched_from_ring);
-                rep.metrics["loads_from_disk"] = static_cast<double>(bw.loads_from_disk);
                 return rep;
               });
   // Wire-compression counters as their own bench row: bytes/hop and the
   // encoded/raw ratio are the headline numbers of the codec layer. Owners
-  // encode each payload once, so without spills (budget) or folds (writes)
-  // `frames` stays at or below `fragments` however often they reload.
+  // encode each base once, so without folds (writes) `frames` stays at or
+  // below `fragments` however often they reload, budget or not.
   harness.Run("bandwidth",
               {{"scale", Fmt("%.3f", scale)},
                {"nodes", std::to_string(nodes)},
@@ -382,17 +363,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(bw.plain_columns));
   if (budget_mb > 0) {
     std::printf(
-        "memory: %llu spills (%llu bytes), %llu evictions, %llu promotions, "
-        "%llu loads from disk, %llu rejections, %llu resident / %llu spilled "
-        "bytes at exit\n",
-        static_cast<unsigned long long>(mem.spills),
-        static_cast<unsigned long long>(mem.spill_bytes),
-        static_cast<unsigned long long>(mem.evictions),
-        static_cast<unsigned long long>(mem.promotions),
-        static_cast<unsigned long long>(bw.loads_from_disk),
+        "memory: budget %llu MiB per node, %llu copies admitted, %llu rejections, "
+        "%llu sheds, %llu resident bytes at exit\n",
+        static_cast<unsigned long long>(budget_mb),
+        static_cast<unsigned long long>(mem.admissions),
         static_cast<unsigned long long>(mem.admission_rejections),
-        static_cast<unsigned long long>(mem.resident_bytes),
-        static_cast<unsigned long long>(mem.spilled_bytes));
+        static_cast<unsigned long long>(mem.pressure_sheds),
+        static_cast<unsigned long long>(mem.resident_bytes));
   }
   std::printf(
       "resilience: %llu retransmits over %llu hops, %llu payload hashes for %llu "

@@ -1,8 +1,8 @@
-// Read-side interface over one node's persistent fragments. The MAL
-// interpreter's sql.bind fetches payloads through it without knowing which
-// tier (RAM, disk) currently holds them: storage::FragmentStore implements it
-// with a budgeted two-tier store behind, and local plan executions (tests,
-// replays) pass any in-memory source.
+// Read-side interface over a set of named fragments: the MAL interpreter's
+// sql.bind fetches payloads through it. Only local plan executions use it
+// (tests and replays pass an in-memory source); a plan on the live ring is
+// DC-optimized, so it has no sql.bind left and reads every fragment through
+// a pin instead.
 #pragma once
 
 #include <string>
@@ -17,9 +17,8 @@ class FragmentSource {
  public:
   virtual ~FragmentSource() = default;
 
-  /// Fetches by qualified name; NotFound if absent. May fault a spilled
-  /// fragment back in; the returned pointer stays valid regardless of later
-  /// evictions (fragments are immutable and shared).
+  /// Fetches by qualified name; NotFound if absent. Fragments are immutable
+  /// and shared, so the returned pointer stays valid.
   virtual Result<BatPtr> GetByName(const std::string& name) = 0;
   /// Fetches by ring fragment id.
   virtual Result<BatPtr> GetById(core::BatId id) = 0;

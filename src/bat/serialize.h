@@ -74,11 +74,11 @@ std::string Serialize(const Bat& b);
 Result<BatPtr> Deserialize(std::string_view buffer);
 
 /// CRC-32 (IEEE polynomial, reflected 0xEDB88320) over a byte range: the
-/// checksum of every wire frame, hop envelope and spill file. Inputs of 64
-/// bytes or more fold with carry-less multiply (PCLMULQDQ) when the host
-/// has it and enc::ForceScalar() is off; shorter inputs, the unaligned head
-/// and the tail, and every input elsewhere run slicing-by-8. Both kernels
-/// return bit-identical checksums.
+/// checksum of every wire frame and hop envelope. Inputs of 64 bytes or
+/// more fold with carry-less multiply (PCLMULQDQ) when the host has it and
+/// enc::ForceScalar() is off; shorter inputs, the unaligned head and the
+/// tail, and every input elsewhere run slicing-by-8. Both kernels return
+/// bit-identical checksums.
 uint32_t Crc32(const void* data, size_t n);
 
 }  // namespace dcy::bat

@@ -1,6 +1,6 @@
 #include "core/loi.h"
 
-#include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -13,32 +13,6 @@ double ComputeNewLoi(double loi, uint32_t copies, uint32_t hops, uint32_t cycles
   //   (loi + (copies/hops) * cycles) / cycles == loi/cycles + cavg
   return loi / static_cast<double>(cycles) + cavg;
 }
-
-InterestTracker::InterestTracker() : InterestTracker(Options()) {}
-
-InterestTracker::InterestTracker(Options options) : options_(options) {
-  DCY_CHECK(options_.half_life_seconds > 0.0);
-}
-
-double InterestTracker::DecayFactor(double dt_seconds) const {
-  if (dt_seconds <= 0.0) return 1.0;
-  // 2^(-dt / half_life): the score halves once per half-life of silence.
-  return std::exp2(-dt_seconds / options_.half_life_seconds);
-}
-
-void InterestTracker::Touch(BatId id, double now_seconds, double weight) {
-  State& s = state_[id];
-  s.score = s.score * DecayFactor(now_seconds - s.at) + weight;
-  s.at = now_seconds;
-}
-
-double InterestTracker::Score(BatId id, double now_seconds) const {
-  const auto it = state_.find(id);
-  if (it == state_.end()) return 0.0;
-  return it->second.score * DecayFactor(now_seconds - it->second.at);
-}
-
-void InterestTracker::Forget(BatId id) { state_.erase(id); }
 
 AdaptiveLoit::AdaptiveLoit(Options options) : options_(std::move(options)) {
   DCY_CHECK(!options_.levels.empty());

@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.h"
@@ -49,47 +48,6 @@ class StaticLoit final : public LoitPolicy {
 
  private:
   double threshold_;
-};
-
-/// \brief Windowed-decay interest per fragment: each access adds `weight`
-/// and the accumulated score halves every `half_life_seconds`, so a burst of
-/// pins counts for more than the same number spread over minutes. The score
-/// is the eviction-ranking input of the two-tier fragment store — the paper's
-/// level-of-interest idea applied to local memory residency instead of ring
-/// circulation (the ring LOI of Eq. 1 stays per-cycle and owner-computed).
-///
-/// Not thread-safe; callers (the fragment store) serialize access.
-class InterestTracker {
- public:
-  struct Options {
-    /// Time for an untouched fragment's score to halve.
-    double half_life_seconds = 5.0;
-  };
-
-  InterestTracker();
-  explicit InterestTracker(Options options);
-
-  /// Records one access at `now_seconds` (any monotonic clock).
-  void Touch(BatId id, double now_seconds, double weight = 1.0);
-
-  /// Decayed score as of `now_seconds`; 0 for unknown fragments.
-  double Score(BatId id, double now_seconds) const;
-
-  /// Drops all state for `id` (fragment removed from the store).
-  void Forget(BatId id);
-
-  size_t size() const { return state_.size(); }
-
- private:
-  double DecayFactor(double dt_seconds) const;
-
-  struct State {
-    double score = 0.0;
-    double at = 0.0;  ///< when `score` was last folded
-  };
-
-  Options options_;
-  std::unordered_map<BatId, State> state_;
 };
 
 /// \brief The §5.2 adaptive policy: a ladder of levels; one step up when the

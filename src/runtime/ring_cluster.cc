@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unistd.h>
-
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <set>
-#include <unordered_set>
 
 #include "bat/serialize.h"
 #include "common/logging.h"
@@ -63,11 +59,6 @@ constexpr auto kIdleWait = std::chrono::microseconds(200);
 /// of the protocol. The data channel blocks senders at four times this.
 constexpr uint64_t kBatQueueCapacity = 64 * kMB;
 
-/// Longest a store admission of a durable fragment waits for spill I/O to
-/// make room: 10 s for a bulk load, 5 s for a copy taken from the write log.
-constexpr std::chrono::milliseconds kLoadAdmitWait{10000};
-constexpr std::chrono::milliseconds kReadmitWait{5000};
-
 SimTime SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -91,17 +82,6 @@ Status ValidateQualifiedName(const std::string& name) {
                                    name + "\"");
   }
   return Status::OK();
-}
-
-/// The per-node two-tier store configuration: the cluster-wide budget and
-/// spill tunables, rooted in a per-node subdirectory of the spill root.
-storage::FragmentStoreOptions NodeStoreOptions(const storage::FragmentStoreOptions& base,
-                                               const std::string& spill_root,
-                                               core::NodeId id) {
-  storage::FragmentStoreOptions opts = base;
-  opts.spill_dir =
-      spill_root.empty() ? "" : spill_root + "/node" + std::to_string(id);
-  return opts;
 }
 
 }  // namespace
@@ -133,10 +113,7 @@ class RingCluster::Node final : public core::DcEnv {
   };
 
   Node(RingCluster* cluster, core::NodeId id)
-      : cluster_(cluster),
-        id_(id),
-        store_(NodeStoreOptions(cluster->options_.memory, cluster->options_.spill_dir,
-                                id)) {
+      : cluster_(cluster), id_(id), store_(cluster->options_.memory) {
     const Options& opts = cluster->options_;
     core::DcNodeOptions node_opts = opts.node;
     node_opts.node_id = id;
@@ -187,7 +164,7 @@ class RingCluster::Node final : public core::DcEnv {
     });
   }
 
-  storage::FragmentStore& store() { return store_; }
+  storage::MemoryMetrics memory() const { return store_.Metrics(); }
   core::DcNode& dc() { return *dc_; }
   bool crashed() const { return crashed_.load(std::memory_order_acquire); }
 
@@ -299,9 +276,6 @@ class RingCluster::Node final : public core::DcEnv {
   /// corpse.
   void Crash() {
     StopRunnersWith(Status::Unavailable("node " + std::to_string(id_) + " crashed"));
-    // The crash loses RAM but not the disk tier: the store forgets every
-    // frame while the spill files survive for RestartNode's recovery scan.
-    store_.ForgetAllForCrash();
     std::lock_guard<std::mutex> dead(dead_exec_mu_);
     {
       std::lock_guard<std::mutex> lock(mailbox_mu_);
@@ -321,6 +295,8 @@ class RingCluster::Node final : public core::DcEnv {
       leftover.swap(mailbox_);
     }
     for (auto& task : leftover) task();
+    // The crash loses the node's memory: every ring copy it held.
+    store_.Clear();
   }
 
   /// Re-admission after Crash(): a restarted node comes back amnesiac — a
@@ -332,8 +308,6 @@ class RingCluster::Node final : public core::DcEnv {
     node_opts.node_id = id_;
     node_opts.ring_size = cluster_->options_.num_nodes;
     dc_ = std::make_unique<core::DcNode>(node_opts, this, &loit_);
-    decoded_.clear();
-    decoded_in_store_.clear();
     decode_rejected_.clear();
     encoded_.clear();
     hashed_.clear();
@@ -401,9 +375,9 @@ class RingCluster::Node final : public core::DcEnv {
       }
       if (store_.UnderPressure() &&
           admission_queue_.size() >= cluster_->options_.admission.degraded_max_queued) {
-        // Same graceful degradation under memory pressure: spill I/O is not
-        // keeping up with the resident set, so new work is shed retryable
-        // at the degraded bound instead of deepening the overhang.
+        // Same graceful degradation under memory pressure: pinned copies
+        // fill the budget and none can be evicted, so new work is shed
+        // retryable at the degraded bound instead of deepening the overhang.
         store_.NotePressureShed();
         return Status::Unavailable("memory pressure: load shed on node " +
                                    std::to_string(id_));
@@ -553,23 +527,16 @@ class RingCluster::Node final : public core::DcEnv {
   }
 
   void DeliverToQuery(core::QueryId query, core::BatId bat) override {
-    Result<bat::BatPtr> value = [&]() -> Result<bat::BatPtr> {
-      auto it = decoded_.find(bat);
-      if (it != decoded_.end()) return it->second;
-      // A delivery the store refused to cache (budget): fail the pin with
-      // the typed backpressure recorded at decode time — retryable, so the
-      // session layer resubmits instead of hanging on a frame that cannot
-      // be kept.
-      auto rej = decode_rejected_.find(bat);
-      if (rej != decode_rejected_.end()) {
-        Status refused = rej->second;
-        decode_rejected_.erase(rej);
-        return refused;
-      }
-      auto resident = store_.GetResident(bat);
-      if (resident.ok()) return resident;
-      return Status::NotFound("decoded BAT " + std::to_string(bat) + " missing");
-    }();
+    Result<bat::BatPtr> value = store_.Get(bat);
+    auto rej = decode_rejected_.find(bat);
+    if (!value.ok() && rej != decode_rejected_.end()) {
+      // A copy the store refused (budget): fail the pin with the typed
+      // backpressure recorded at decode time — retryable, so the session
+      // layer resubmits instead of hanging on a frame that cannot be kept.
+      // Every pin the same frame served gets it, so it stays until
+      // TrimCopies finds no pin blocked on the BAT.
+      value = rej->second;
+    }
     ResolveWaiter(query, bat, std::move(value));
   }
 
@@ -583,20 +550,10 @@ class RingCluster::Node final : public core::DcEnv {
 
   uint64_t BatQueueCapacityBytes() override { return kBatQueueCapacity; }
 
-  /// Decoded-BAT cache upkeep: drop entries the protocol cache released,
-  /// returning their budget charge to the store.
-  void TrimDecoded() {
-    for (auto it = decoded_.begin(); it != decoded_.end();) {
-      if (!dc_->cache().Contains(it->first)) {
-        if (decoded_in_store_.erase(it->first) > 0) {
-          store_.Unpin(it->first);
-          store_.Drop(it->first);
-        }
-        it = decoded_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+  /// Ring-copy upkeep: copies the protocol cache released leave the store,
+  /// returning their budget charge.
+  void TrimCopies() {
+    store_.DropIf([this](core::BatId bat) { return !dc_->cache().Contains(bat); });
     for (auto it = decode_rejected_.begin(); it != decode_rejected_.end();) {
       if (!dc_->pins().HasBlocked(it->first)) {
         it = decode_rejected_.erase(it);
@@ -604,24 +561,6 @@ class RingCluster::Node final : public core::DcEnv {
         ++it;
       }
     }
-  }
-
-  /// Pin via the two-tier store with fault-in, retrying once through a ring
-  /// re-fetch when the spill image turned out corrupt (Corruption) or the
-  /// frame is gone (NotFound: a fold's republish dropped it and has not yet
-  /// re-admitted it). Runs on a query runner thread (never the service
-  /// thread) — the disk read may block.
-  Result<bat::BatPtr> PinStored(core::BatId bat,
-                                std::chrono::steady_clock::time_point deadline) {
-    auto pinned = store_.Pin(bat, deadline);
-    if (pinned.ok()) return pinned;
-    if (pinned.status().code() == StatusCode::kCorruption) {
-      DCY_LOG(kWarn) << "node " << id_ << ": " << pinned.status().message();
-    } else if (pinned.status().code() != StatusCode::kNotFound) {
-      return pinned;
-    }
-    DCY_RETURN_NOT_OK(cluster_->RefetchFragment(bat, this));
-    return store_.Pin(bat, deadline);
   }
 
  private:
@@ -641,39 +580,27 @@ class RingCluster::Node final : public core::DcEnv {
     uint32_t crc = 0;
   };
 
-  /// The frame an owner load ships. The store's payload object is encoded
-  /// once and the frame memoized; a fold republish, a fault-in from the
-  /// disk tier, a refetch or a re-home brings a new object, and the next
-  /// load encodes that one. nullptr when the payload cannot be had.
+  /// The frame an owner load ships. The write log's base of the fragment is
+  /// encoded once and the frame memoized while that object is still the
+  /// base; a fold brings a new base, and the next load encodes that one.
+  /// nullptr when the log has no such fragment.
   const EncodedFrame* OwnedFrame(core::BatId id) {
-    // A spilled payload is read and decoded from disk by GetById, here on
-    // the service thread.
-    if (store_.IsSpilled(id)) ++wire_.loads_from_disk;
-    auto b = store_.GetById(id);
-    if (!b.ok() && (b.status().code() == StatusCode::kCorruption ||
-                    b.status().code() == StatusCode::kNotFound)) {
-      // Corruption: the spilled image of an owned fragment rotted on disk
-      // and the store already deleted it. NotFound: this node became the
-      // owner through a re-homing while its only registered copy was a
-      // transient decoded-cache entry that the cache upkeep has since
-      // dropped. Either way the write log still holds the durable payload
-      // — re-materialize from it and retry once.
-      if (cluster_->RefetchFragment(id, this).ok()) b = store_.GetById(id);
-    }
-    if (!b.ok()) {
+    auto record = cluster_->write_log().Fragment(id);
+    if (!record.ok()) {
       DCY_LOG(kError) << "node " << id_ << " cannot load BAT " << id << ": "
-                      << b.status().ToString();
+                      << record.status().ToString();
       return nullptr;
     }
+    const bat::BatPtr& base = record->base;
     EncodedFrame& memo = encoded_[id];
-    if (memo.source.lock() != *b) {
+    if (memo.source.lock() != base) {
       // One codec plan sizes the frame exactly, encodes it, and reports
       // what compression bought it.
-      const bat::FrameEncoder enc(**b);
+      const bat::FrameEncoder enc(*base);
       auto frame = std::make_shared<std::string>();
       enc.SerializeInto(frame.get());
       ++wire_.frames_encoded;
-      memo.source = *b;
+      memo.source = base;
       memo.stats = enc.stats();
       hashed_[frame.get()] = {frame, bat::Crc32(frame->data(), frame->size())};
       memo.frame = std::move(frame);
@@ -687,17 +614,12 @@ class RingCluster::Node final : public core::DcEnv {
     return &memo;
   }
 
-  /// Drops memoized frames whose payload object the store no longer holds
-  /// in memory (spilled, dropped or republished), so memoized bytes stay
-  /// within the wire size of the payloads this owner keeps resident.
+  /// Drops memoized frames whose payload object no longer exists (a fold
+  /// replaced the base and no reader holds the old one), so memoized bytes
+  /// stay within the wire size of the bases this owner loads.
   void TrimEncoded() {
     for (auto it = encoded_.begin(); it != encoded_.end();) {
-      auto resident = store_.GetResident(it->first);
-      if (resident.ok() && *resident == it->second.source.lock()) {
-        ++it;
-      } else {
-        it = encoded_.erase(it);
-      }
+      it = it->second.source.expired() ? encoded_.erase(it) : std::next(it);
     }
   }
 
@@ -861,34 +783,22 @@ class RingCluster::Node final : public core::DcEnv {
     }
 
     current_payload_ = m.payload;
-    // Decode up front if local queries are blocked on it (delivery needs the
-    // typed BAT) — cheap check, decode once.
-    if (dc_->pins().HasBlocked(header.bat_id) && decoded_.count(header.bat_id) == 0) {
+    // Decode once if local queries are blocked on it (delivery needs the
+    // typed BAT). The copy is charged to the budget and held until the
+    // protocol cache releases it. Over budget, the typed refusal is
+    // delivered to the blocked pins instead of the data (retryable
+    // backpressure, never an unaccounted allocation).
+    if (dc_->pins().HasBlocked(header.bat_id) && !store_.Contains(header.bat_id)) {
       auto decoded = bat::Deserialize(*m.payload);
-      if (decoded.ok()) {
-        // The decoded payload charges the memory budget like any other
-        // resident fragment: admit it as a non-durable (droppable) frame,
-        // pinned until the protocol cache releases it. Over budget, the
-        // typed refusal is delivered to the blocked pin instead of the data
-        // (retryable backpressure, never an unaccounted allocation).
-        Status admitted = store_.Admit(header.bat_id, "", *decoded,
-                                       /*durable=*/false, /*initial_pins=*/1);
-        if (admitted.ok()) {
-          decoded_[header.bat_id] = *decoded;
-          decoded_in_store_.insert(header.bat_id);
-        } else if (admitted.code() == StatusCode::kAlreadyExists) {
-          decoded_[header.bat_id] = *decoded;
-        } else {
-          decode_rejected_[header.bat_id] = admitted;
-        }
-      } else {
+      if (!decoded.ok()) {
         ++hop_.decode_failures;  // hop CRC passed but the encoding is bad
+      } else if (Status admitted = store_.Admit(header.bat_id, *decoded); !admitted.ok()) {
+        decode_rejected_[header.bat_id] = admitted;
       }
     }
     dc_->OnBatMsg(header);
-    store_.NoteRingLoi(header.bat_id, header.loi);
     current_payload_ = nullptr;
-    TrimDecoded();
+    TrimCopies();
   }
 
   /// Hops after which a BAT frame whose owner died with no heir is dropped
@@ -1153,10 +1063,8 @@ class RingCluster::Node final : public core::DcEnv {
   /// object identity (PayloadCrc, TrimHashed).
   std::unordered_map<const std::string*, HashedPayload> hashed_;
   std::vector<rdma::Message> drain_;  ///< service-loop batch receive scratch
-  std::unordered_map<core::BatId, bat::BatPtr> decoded_;
-  /// Decoded frames charged to the store (one pin each until TrimDecoded).
-  std::unordered_set<core::BatId> decoded_in_store_;
-  /// Deliveries the store refused under budget; consumed by DeliverToQuery.
+  /// Copies the store refused under budget, read by DeliverToQuery until no
+  /// pin is blocked on them (TrimCopies).
   std::unordered_map<core::BatId, Status> decode_rejected_;
 
   std::mutex waiters_mu_;
@@ -1184,11 +1092,6 @@ class SessionHooks final : public mal::DcHooks {
     // memory nor fragment requests that would keep BATs hot.
     for (const core::BatId bat : requested_) {
       node_->Post([node = node_, q = query_, bat] { node->dc().Unpin(q, bat); });
-    }
-    // Buffer-frame pins likewise: a leaked pin would make the frame
-    // unevictable forever.
-    for (const auto& [bat, count] : store_pins_) {
-      for (uint32_t i = 0; i < count; ++i) node_->store().Unpin(bat);
     }
   }
 
@@ -1220,61 +1123,25 @@ class SessionHooks final : public mal::DcHooks {
     // Register the waiter *before* pinning so a delivery racing the pin
     // cannot be missed.
     auto future = node_->AddWaiter(query_, bat);
-    std::promise<Result<bat::BatPtr>> immediate;
-    auto immediate_future = immediate.get_future();
-    bool fault_in = false;
+    bool owned = false;
     node_->PostSync([&, this] {
-      if (node_->dc().Pin(query_, bat)) {
-        // Available now: owned locally or cached. TryPinResident never does
-        // I/O — the service thread must not block on a disk read.
-        auto local = node_->store().TryPinResident(bat);
-        if (local.ok()) {
-          NoteStorePin(bat);
-          immediate.set_value(*local);
-          return;
-        }
-        if (local.status().code() == StatusCode::kFailedPrecondition ||
-            node_->dc().owned().Find(bat) != nullptr) {
-          // Spilled, or owned but not in the store (a fold's republish sits
-          // between its Drop and Admit): fault it in from the disk tier or
-          // the write log on this runner thread (the whole pin
-          // instruction already runs under a BlockingScope, so the executor
-          // backfills the blocked slot).
-          fault_in = true;
-          immediate.set_value(local.status());
-          return;
-        }
-        // Not owned: it must be in the decoded cache via DeliverToQuery's
-        // bookkeeping — fall through to the waiter resolution by asking the
-        // protocol to deliver from cache.
-        node_->DeliverToQuery(query_, bat);
-        immediate.set_value(Status::FailedPrecondition("resolved via waiter"));
-      } else {
-        immediate.set_value(Status::FailedPrecondition("blocked"));
-      }
+      if (!node_->dc().Pin(query_, bat)) return;  // blocked on the ring
+      owned = node_->dc().owned().Find(bat) != nullptr;
+      // Not owned but available now: the store holds the copy the protocol
+      // cache pins, and the waiter resolves from it.
+      if (!owned) node_->DeliverToQuery(query_, bat);
     });
-    Result<bat::BatPtr> quick = immediate_future.get();
     bat::BatPtr value;
-    if (quick.ok()) {
+    if (owned) {
+      // An owner's pin reads the write log's base, the fragment's only home.
       node_->RemoveWaiter(query_, bat);
-      value = *quick;
-    } else if (fault_in) {
-      node_->RemoveWaiter(query_, bat);
-      const auto blocked_at = std::chrono::steady_clock::now();
-      const auto deadline = cancel_ != nullptr && cancel_->has_deadline()
-                                ? cancel_->deadline()
-                                : std::chrono::steady_clock::time_point::max();
-      auto faulted = node_->PinStored(bat, deadline);
-      blocked_ns_.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - blocked_at)
-                                .count(),
-                            std::memory_order_relaxed);
-      if (!faulted.ok()) return faulted.status();
-      NoteStorePin(bat);
-      value = *faulted;
+      DCY_ASSIGN_OR_RETURN(write::FragmentRecord record,
+                           cluster_->write_log().Fragment(bat));
+      value = std::move(record.base);
     } else {
-      // Blocked until the fragment flows by — or the query is cancelled or
-      // runs past its deadline. Cancellation protocol: Cancel() sets the
+      // Resolved already from the store's copy, or blocked until the
+      // fragment flows by — or the query is cancelled or runs past its
+      // deadline. Cancellation protocol: Cancel() sets the
       // token *then* aborts this query's waiters, and we re-check the token
       // only after registering the waiter, so one side always fires.
       const auto blocked_at = std::chrono::steady_clock::now();
@@ -1316,7 +1183,6 @@ class SessionHooks final : public mal::DcHooks {
 
   Status Unpin(const mal::Datum& pinned) override {
     core::BatId bat = core::kInvalidBat;
-    bool release_store_pin = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (const auto* h = std::get_if<mal::RequestHandle>(&pinned)) {
@@ -1333,23 +1199,12 @@ class SessionHooks final : public mal::DcHooks {
       }
       pinned_.erase(bat);
       requested_.erase(bat);  // fully released: nothing left for teardown
-      auto sp = store_pins_.find(bat);
-      if (sp != store_pins_.end()) {
-        release_store_pin = true;
-        if (--sp->second == 0) store_pins_.erase(sp);
-      }
     }
-    if (release_store_pin) node_->store().Unpin(bat);
     node_->Post([node = node_, q = query_, bat] { node->dc().Unpin(q, bat); });
     return Status::OK();
   }
 
  private:
-  void NoteStorePin(core::BatId bat) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++store_pins_[bat];
-  }
-
   RingCluster* cluster_;
   RingCluster::Node* node_;
   core::QueryId query_;
@@ -1360,9 +1215,6 @@ class SessionHooks final : public mal::DcHooks {
   std::unordered_map<core::BatId, bat::BatPtr> pinned_;
   std::unordered_map<const bat::Bat*, core::BatId> by_pointer_;
   std::set<core::BatId> requested_;  ///< every fragment this query touched
-  /// Buffer-frame pins this query holds in the node's store (eviction
-  /// protection); released on Unpin or teardown.
-  std::unordered_map<core::BatId, uint32_t> store_pins_;
 };
 
 /// The sql.wappend / sql.wcommit / sql.wdelete hooks of one query execution:
@@ -1460,22 +1312,6 @@ class QueryWriteHooks final : public mal::WriteHooks {
 
 RingCluster::RingCluster(Options options) : options_(options) {
   DCY_CHECK(options_.num_nodes >= 2);
-  if (options_.memory.budget_bytes > 0 && options_.spill_dir.empty()) {
-    // A budget without a spill root would refuse every over-budget byte
-    // outright; give the stores a private disk tier under the system temp
-    // directory instead (removed with the cluster).
-    static std::atomic<uint64_t> counter{0};
-    const auto dir =
-        std::filesystem::temp_directory_path() /
-        ("dcy-spill-" + std::to_string(static_cast<uint64_t>(::getpid())) + "-" +
-         std::to_string(counter.fetch_add(1)));
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (!ec) {
-      options_.spill_dir = dir.string();
-      owns_spill_dir_ = true;
-    }
-  }
   nodes_.reserve(options_.num_nodes);
   spliced_in_.assign(options_.num_nodes, true);
   alive_ = std::make_unique<std::atomic<bool>[]>(options_.num_nodes);
@@ -1490,16 +1326,7 @@ RingCluster::RingCluster(Options options) : options_(options) {
   }
 }
 
-RingCluster::~RingCluster() {
-  Stop();
-  if (owns_spill_dir_) {
-    // The stores (and their spill threads) must be gone before their
-    // directory is: destroy the nodes first.
-    nodes_.clear();
-    std::error_code ec;
-    std::filesystem::remove_all(options_.spill_dir, ec);
-  }
-}
+RingCluster::~RingCluster() { Stop(); }
 
 Status RingCluster::LoadBat(core::NodeId owner, const std::string& name, bat::BatPtr bat) {
   if (owner >= options_.num_nodes) return Status::InvalidArgument("bad owner node");
@@ -1510,21 +1337,12 @@ Status RingCluster::LoadBat(core::NodeId owner, const std::string& name, bat::Ba
   DCY_RETURN_NOT_OK(ValidateQualifiedName(name));
   const core::BatId id = next_bat_.fetch_add(1);
   const uint64_t size = bat->ByteSize();
-  // Admission may wait on spill I/O when the node is near its budget — bulk
-  // loads beyond memory proceed at disk speed instead of failing. No lock is
-  // held meanwhile, so queries and service threads keep resolving fragments.
-  DCY_RETURN_NOT_OK(nodes_[owner]->store().Admit(id, name, bat, /*durable=*/true,
-                                                 /*initial_pins=*/0, kLoadAdmitWait));
-  // The write log records the fragment (version 0 base). It rejects a
-  // duplicate name and a column whose row count disagrees with its table's
-  // other columns — undo the admission so a failed load leaves nothing.
+  // The write log records the fragment (version 0 base), its only home. It
+  // rejects a duplicate name and a column whose row count disagrees with
+  // its table's other columns.
   const size_t last_dot = name.rfind('.');
-  Status registered = write_log_.RegisterFragment(
-      id, name.substr(0, last_dot), name.substr(last_dot + 1), std::move(bat));
-  if (!registered.ok()) {
-    nodes_[owner]->store().Drop(id);
-    return registered;
-  }
+  DCY_RETURN_NOT_OK(write_log_.RegisterFragment(
+      id, name.substr(0, last_dot), name.substr(last_dot + 1), std::move(bat)));
   {
     std::lock_guard<std::mutex> lock(owners_mu_);
     owners_[id] = owner;
@@ -1560,8 +1378,8 @@ void RingCluster::Start() {
 
 void RingCluster::Stop() {
   if (!started_.exchange(false)) return;
-  // The compactor first: a fold republishes through node stores and must
-  // not race the teardown below.
+  // The compactor first: a fold reads the liveness of nodes torn down
+  // below.
   {
     std::lock_guard<std::mutex> lock(compact_mu_);
     compactor_stop_ = true;
@@ -1601,26 +1419,9 @@ void RingCluster::CompactionPass() {
     auto folded =
         write_log_.FoldTable(table, [this, folder] { return IsNodeAlive(folder); });
     // Aborted: the folder died mid-fold (the guard rejected the commit and
-    // the log stands untouched). Retried at a later pass.
+    // the log stands untouched). Retried at a later pass. Otherwise the log
+    // holds the new bases, and each owner's next load encodes its new base.
     if (!folded.ok() || folded->rebased.empty()) continue;
-    // The log holds the new bases now; republish each on its owner's store
-    // so the owner's next load ships it. A table's columns may live on
-    // several nodes. A pin on the owner between Drop and Admit re-fetches
-    // the new base from the log; its copy then wins the race and this
-    // admission reports AlreadyExists, which is success.
-    for (const auto& [id, fname, base] : folded->rebased) {
-      const core::NodeId owner = OwnerOf(id);
-      if (!IsNodeAlive(owner)) continue;  // its restart or heir reads the log
-      Node* owner_node = nodes_[owner].get();
-      owner_node->store().Drop(id);
-      Status admitted = AdmitFromLog(id, owner_node);
-      if (!admitted.ok() && admitted.code() != StatusCode::kAlreadyExists) {
-        // The log still carries the folded payload; the next pin refetches
-        // it from there.
-        DCY_LOG(kWarn) << "republish of folded fragment " << fname
-                       << " failed: " << admitted.ToString();
-      }
-    }
     DCY_LOG(kInfo) << "node " << folder << " folded " << folded->deltas_folded
                    << " delta(s) of " << table << " into base version "
                    << folded->new_version;
@@ -1731,18 +1532,11 @@ void RingCluster::HandleDeadFragments(core::NodeId suspect, core::NodeId heir) {
     }
     return;
   }
+  // The heir loads each inherited fragment from the write log, like any
+  // owner.
   Node* heir_node = nodes_[heir].get();
   for (const core::BatId id : orphaned) {
-    // AlreadyExists: the heir holds a copy under this id already (a
-    // ring-delivered one, which OwnedFrame replaces from the log once the
-    // cache upkeep drops it).
-    uint64_t bytes = 0;
-    Status admitted = AdmitFromLog(id, heir_node, &bytes);
-    if (!admitted.ok() && admitted.code() != StatusCode::kAlreadyExists) {
-      DCY_LOG(kError) << "re-home of fragment " << id
-                      << " failed: " << admitted.ToString();
-      continue;
-    }
+    const uint64_t bytes = BaseBytes(id);
     heir_node->Post([heir_node, id, bytes] { heir_node->dc().AddOwnedBat(id, bytes); });
   }
   std::lock_guard<std::mutex> lock(ring_mu_);
@@ -1751,18 +1545,9 @@ void RingCluster::HandleDeadFragments(core::NodeId suspect, core::NodeId heir) {
                  << " re-homed to node " << heir;
 }
 
-Status RingCluster::AdmitFromLog(core::BatId bat, Node* node, uint64_t* bytes) {
-  DCY_ASSIGN_OR_RETURN(write::FragmentRecord record, write_log_.Fragment(bat));
-  if (bytes != nullptr) *bytes = record.base->ByteSize();
-  return node->store().Admit(bat, record.name, std::move(record.base), /*durable=*/true,
-                             /*initial_pins=*/0, kReadmitWait);
-}
-
-Status RingCluster::RefetchFragment(core::BatId bat, Node* node, uint64_t* bytes) {
-  Status admitted = AdmitFromLog(bat, node, bytes);
-  if (admitted.code() == StatusCode::kAlreadyExists) return Status::OK();
-  if (admitted.ok()) node->store().NoteRefetched();
-  return admitted;
+uint64_t RingCluster::BaseBytes(core::BatId bat) const {
+  const auto record = write_log_.Fragment(bat);
+  return record.ok() ? record->base->ByteSize() : 0;
 }
 
 Status RingCluster::FragmentFailureStatus(core::BatId bat) {
@@ -1795,27 +1580,9 @@ Status RingCluster::RestartNode(core::NodeId node) {
     succ = nodes_[NextAliveLocked(node)].get();
   }
   comer->Restart(succ, pred);
-  // Crash-safe recovery of the two-tier store: re-admit every checksum-valid
-  // spill file from the node's disk tier (payloads stay on disk until
-  // pinned). Files of fragments re-homed while the node was down belong to
-  // their heir now: drop them. Damaged files were deleted by the scan and
-  // their fragments — like everything never spilled — are re-materialized
-  // from the write log below.
-  const auto recovered = comer->store().Recover();
-  size_t disowned = 0;
-  for (const storage::SpillInfo& info : recovered.recovered) {
-    if (OwnerOf(info.id) == node) continue;
-    comer->store().Drop(info.id);
-    ++disowned;
-  }
-  if (!recovered.recovered.empty() || recovered.corrupt_files > 0) {
-    DCY_LOG(kInfo) << "node " << node << " recovery: " << recovered.recovered.size()
-                   << " fragment(s) reloaded from disk (" << disowned
-                   << " owned elsewhere now, dropped), " << recovered.corrupt_files
-                   << " damaged spill file(s) discarded";
-  }
   // Re-introduce the node's surviving fragments (those not re-homed while
-  // it was down) to its fresh protocol state.
+  // it was down) to its fresh protocol state; it loads them from the write
+  // log, which the crash did not touch.
   std::vector<std::pair<core::BatId, uint64_t>> owned;
   {
     std::lock_guard<std::mutex> lock(owners_mu_);
@@ -1823,13 +1590,7 @@ Status RingCluster::RestartNode(core::NodeId node) {
       if (owner == node) owned.emplace_back(id, 0);
     }
   }
-  for (auto& [id, size] : owned) {
-    Status refetched = RefetchFragment(id, comer, &size);
-    if (!refetched.ok()) {
-      DCY_LOG(kError) << "node " << node << " cannot re-materialize fragment " << id
-                      << ": " << refetched.ToString();
-    }
-  }
+  for (auto& [id, size] : owned) size = BaseBytes(id);
   comer->PostSync([&] {
     for (const auto& [id, size] : owned) comer->dc().AddOwnedBat(id, size);
   });
@@ -1880,7 +1641,6 @@ void RingCluster::BandwidthMetrics::Add(const BandwidthMetrics& other) {
   for_columns += other.for_columns;
   plain_columns += other.plain_columns;
   memo_bytes += other.memo_bytes;
-  loads_from_disk += other.loads_from_disk;
 }
 
 RingCluster::BandwidthMetrics RingCluster::Bandwidth() const {
@@ -1894,12 +1654,12 @@ RingCluster::BandwidthMetrics RingCluster::Bandwidth() const {
 
 storage::MemoryMetrics RingCluster::NodeMemory(core::NodeId node) const {
   DCY_CHECK(node < nodes_.size());
-  return nodes_[node]->store().Metrics();
+  return nodes_[node]->memory();
 }
 
 storage::MemoryMetrics RingCluster::Memory() const {
   storage::MemoryMetrics total;
-  for (const auto& node : nodes_) total.Add(node->store().Metrics());
+  for (const auto& node : nodes_) total.Add(node->memory());
   return total;
 }
 

@@ -77,7 +77,8 @@ class RingCluster {
       o.initial_rotation_estimate = FromMillis(5);
       return o;
     }();
-    /// Spill directory root ("" keeps all cold data in memory).
+    /// No effect: there is no disk tier. ringbench/ still sets it; remove it
+    /// when ringbench next changes.
     std::string spill_dir;
     /// Max instructions of one plan executing concurrently (dataflow width).
     /// Plans run as tasks on the process-wide exec::Executor — no threads
@@ -92,10 +93,9 @@ class RingCluster {
     size_t plan_cache_capacity = 1024;
     /// Hop reliability, heartbeats, and recovery behaviour.
     ResilienceOptions resilience;
-    /// Per-node memory budget and two-tier spill behaviour. `spill_dir` in
-    /// here is derived per node from Options::spill_dir (when a budget is
-    /// set and Options::spill_dir is empty, the cluster creates a private
-    /// temp directory and removes it on destruction).
+    /// Per-node budget of the copies of ring BATs that local queries hold
+    /// (storage/fragment_store.h). Owned fragments live in the write log and
+    /// are not charged.
     storage::FragmentStoreOptions memory;
     /// Optional deterministic fault injection applied to every channel of
     /// the ring (drop/delay/duplicate/corrupt per the injector's schedule).
@@ -198,8 +198,8 @@ class RingCluster {
   /// Kills `node` abruptly: running queries fail with Unavailable, its
   /// channels close, its service thread exits. The surviving ring detects
   /// the silence via heartbeats, splices the node out, and (with
-  /// auto_rehome) re-materializes its fragments on the heir. Refuses to
-  /// crash the last alive node.
+  /// auto_rehome) hands its fragments to the heir. Refuses to crash the last
+  /// alive node.
   Status CrashNode(core::NodeId node);
 
   /// Brings a crashed node back: fresh protocol state, reopened channels,
@@ -271,16 +271,13 @@ class RingCluster {
     uint64_t plain_columns = 0;
     /// Gauge: bytes of the encoded frames owners keep for their next loads.
     uint64_t memo_bytes = 0;
-    /// Owner loads whose payload sat in the disk tier, so the service thread
-    /// read and decoded its spill file before encoding.
-    uint64_t loads_from_disk = 0;
 
     /// Sums every counter of `other` into this (cluster aggregation).
     void Add(const BandwidthMetrics& other);
   };
   BandwidthMetrics Bandwidth() const;
 
-  /// Memory gauges and two-tier counters of one node's fragment store.
+  /// Memory gauges and counters of one node's store of ring copies.
   storage::MemoryMetrics NodeMemory(core::NodeId node) const;
   /// The same, summed over every node.
   storage::MemoryMetrics Memory() const;
@@ -322,16 +319,9 @@ class RingCluster {
   /// The owner map's entry for `bat` (kInvalidNode when unregistered).
   core::NodeId OwnerOf(core::BatId bat) const;
 
-  /// Admits the write log's base of `bat` (the ring's durable copy) into
-  /// `node`'s store as a durable frame: the one way a re-home, refetch,
-  /// restart or fold republish puts a fragment on its owner. AlreadyExists
-  /// when the store holds `bat` already; `bytes` receives the payload size.
-  Status AdmitFromLog(core::BatId bat, Node* node, uint64_t* bytes = nullptr);
-
-  /// AdmitFromLog after a corrupt or lost spill image, counted as a refetch
-  /// (`refetched_from_ring`); OK when the store holds `bat` already.
-  /// NotFound when the log has no such fragment.
-  Status RefetchFragment(core::BatId bat, Node* node, uint64_t* bytes = nullptr);
+  /// The byte size of `bat`'s base in the write log (0 when unregistered):
+  /// what an owner announces to its protocol state.
+  uint64_t BaseBytes(core::BatId bat) const;
 
   /// Neighbour walk over the original ring order, skipping spliced-out
   /// nodes. Callers hold ring_mu_.
@@ -339,16 +329,13 @@ class RingCluster {
   core::NodeId PrevAliveLocked(core::NodeId from) const;
 
   /// One compactor sweep: folds every threshold-crossed table whose first
-  /// fragment's owner is alive, guarded by that owner's liveness, then
-  /// republishes the rebased fragments on their owners.
+  /// fragment's owner is alive, guarded by that owner's liveness. Owners
+  /// load the new bases from the log.
   void CompactionPass();
   /// Body of the cluster's background compactor thread.
   void CompactorLoop();
 
   Options options_;
-  /// True when the cluster created a private temp spill root (removed on
-  /// destruction).
-  bool owns_spill_dir_ = false;
   std::vector<std::unique_ptr<Node>> nodes_;
   /// The node owning each fragment (paper §4.2: one owner per BAT), the
   /// cluster's only fragment state beside the write log. Re-homing moves

@@ -85,7 +85,7 @@ struct CommitResult {
   int64_t rows = 0;      ///< rows inserted/deleted
 };
 
-/// \brief One folded table: the new base fragments to republish.
+/// \brief One folded table and its new base fragments.
 struct FoldResult {
   std::string table;
   uint64_t new_version = 0;  ///< base_version after the fold

@@ -428,8 +428,8 @@ TEST_F(WriteRing, FoldRepublishEncodesTheNewBaseOnTheNextLoad) {
       },
       milliseconds(10000)))
       << "compactor never folded the insert";
-  // The fold republished a new base object, so the next maintenance tick
-  // drops the retired base's frame: the gauge falls by its whole size.
+  // The fold replaced the base object and the retired one was freed, so the
+  // next maintenance tick drops its frame: the gauge falls by its whole size.
   ASSERT_TRUE(WaitUntil([&] { return cluster->Bandwidth().memo_bytes == 0; },
                         milliseconds(5000)))
       << cluster->Bandwidth().memo_bytes << " memoized bytes left of "

@@ -8,10 +8,10 @@
 // (exec_seconds vs pin_blocked_seconds). Parse and semantic errors render
 // the structured caret diagnostic.
 //
-//   ./dcsql [--scale=0.01] [--nodes=3] [--workers=4] [--max_rows=25] [--budget_mb=0] [--spill_dir=DIR]
+//   ./dcsql [--scale=0.01] [--nodes=3] [--workers=4] [--max_rows=25] [--budget_mb=0]
 //
 // Meta commands: \tables (schema + fragment versions and pending deltas),
-// \mem (memory tiers), \q (quit). EOF
+// \mem (ring copies held per node), \q (quit). EOF
 // exits cleanly, so
 // `echo "select ...;" | dcsql` works for scripted smoke runs.
 #include <unistd.h>
@@ -129,32 +129,18 @@ void PrintSchema(const runtime::RingCluster& ring) {
   }
 }
 
-/// \mem: the two-tier store per node (resident/spilled split, eviction and
-/// promotion counters) plus the cluster resilience summary.
+/// \mem: the ring copies each node's queries hold, against its budget, plus
+/// the cluster resilience summary.
 void PrintMemory(const runtime::RingCluster& ring, uint32_t nodes) {
-  std::printf(
-      "node     budget_mb  resident_mb   spilled_mb  evict  spill  promote"
-      "  reject  shed\n");
+  std::printf("node     budget_mb  resident_mb   admit  reject  shed\n");
   for (uint32_t n = 0; n < nodes; ++n) {
     const storage::MemoryMetrics m = ring.NodeMemory(n);
-    std::printf("%-8u %9.1f  %11.2f  %11.2f  %5llu  %5llu  %7llu  %6llu  %4llu\n", n,
+    std::printf("%-8u %9.1f  %11.2f  %6llu  %6llu  %4llu\n", n,
                 m.budget_bytes / (1024.0 * 1024.0), m.resident_bytes / (1024.0 * 1024.0),
-                m.spilled_bytes / (1024.0 * 1024.0),
-                static_cast<unsigned long long>(m.evictions),
-                static_cast<unsigned long long>(m.spills),
-                static_cast<unsigned long long>(m.promotions),
+                static_cast<unsigned long long>(m.admissions),
                 static_cast<unsigned long long>(m.admission_rejections),
                 static_cast<unsigned long long>(m.pressure_sheds));
   }
-  const storage::MemoryMetrics total = ring.Memory();
-  std::printf(
-      "total: %.2f MiB resident, %.2f MiB spilled, %llu spill writes "
-      "(%llu corrupt files, %llu recovered from disk, %llu refetched from ring)\n",
-      total.resident_bytes / (1024.0 * 1024.0), total.spilled_bytes / (1024.0 * 1024.0),
-      static_cast<unsigned long long>(total.spills),
-      static_cast<unsigned long long>(total.corrupt_spill_files),
-      static_cast<unsigned long long>(total.recovered_from_disk),
-      static_cast<unsigned long long>(total.refetched_from_ring));
   const auto res = ring.Resilience();
   std::printf(
       "resilience: %llu retransmits, %llu link resets, %llu heartbeats missed, "
@@ -176,16 +162,14 @@ int main(int argc, char** argv) {
   const size_t workers = static_cast<size_t>(flags.GetInt("workers", 4));
   const size_t max_rows = static_cast<size_t>(flags.GetInt("max_rows", 25));
   const uint64_t budget_mb = static_cast<uint64_t>(flags.GetInt("budget_mb", 0));
-  const std::string spill_dir = flags.GetString("spill_dir", "");
 
   runtime::RingCluster::Options opts;
   opts.num_nodes = nodes;
   opts.plan_workers = workers;
   if (budget_mb > 0) {
-    // Two-tier store: a per-node budget below the working set spills cold
-    // fragments to disk; \mem shows the tier split live.
+    // The budget bounds the ring copies each node's queries hold; an
+    // over-budget copy fails its query typed. \mem shows the charge live.
     opts.memory.budget_bytes = budget_mb * 1024 * 1024;
-    opts.spill_dir = spill_dir;  // empty -> private temp dir
   }
   runtime::RingCluster ring(opts);
 
