@@ -31,7 +31,12 @@ namespace {
 
 using namespace dcy;       // NOLINT
 using namespace dcy::bat;  // NOLINT
+using bench::Harness;
 using bench::RepResult;
+
+/// Timed rounds of each twin pair whose ratio validate_bench_json.py gates,
+/// however few repeats --repeat asks for.
+constexpr int kTwinRounds = 5;
 
 BatPtr RandomIntBat(size_t n, int32_t domain, uint64_t seed) {
   Rng rng(seed);
@@ -118,8 +123,9 @@ int main(int argc, char** argv) {
   // keyed twin holds the same head as a sorted oid column, so Join takes
   // the merge path instead. validate_bench_json.py gates their ratio, also
   // on one-repeat smoke runs, so each row runs one untimed join and then
-  // probes at least 2^22 rows per repeat: a lone stall or first-touch page
-  // fault must not decide the ratio.
+  // probes at least 2^22 rows per repeat, and the twins alternate their
+  // repeats over at least kTwinRounds rounds: a lone stall, a first-touch
+  // page fault or a busy neighbour must not decide the ratio.
   for (size_t n : {size_t{1} << 16, size_t{1} << 20}) {
     const int twin_iters = std::max(iters, static_cast<int>((size_t{1} << 22) / n));
     Rng rng(9);
@@ -140,20 +146,20 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < n; ++i) keys[i] = i;
     auto keyed = std::make_shared<Bat>(MakeOidColumn(std::move(keys)), column->tail(),
                                        column->props());
-    const std::pair<std::string, BatPtr> twins[] = {{"fetch_join/", column},
-                                                    {"fetch_join_keyed/", keyed}};
-    for (const auto& twin : twins) {
-      const BatPtr& r = twin.second;
+    const auto twin = [&](const std::string& prefix, BatPtr r) {
       auto warm = LeftJoin(l, r);
-      harness.Run(twin.first + std::to_string(n), Params(n, twin_iters), [&] {
-        for (int i = 0; i < twin_iters; ++i) {
-          auto out = LeftJoin(l, r);
-        }
-        RepResult rep;
-        rep.items = static_cast<double>(m) * twin_iters;
-        return rep;
-      });
-    }
+      return Harness::TwinCase{
+          prefix + std::to_string(n), Params(n, twin_iters), [&, r] {
+            for (int i = 0; i < twin_iters; ++i) {
+              auto out = LeftJoin(l, r);
+            }
+            RepResult rep;
+            rep.items = static_cast<double>(m) * twin_iters;
+            return rep;
+          }};
+    };
+    harness.RunAlternating(twin("fetch_join/", column), twin("fetch_join_keyed/", keyed),
+                           kTwinRounds);
   }
 
   for (size_t n : {size_t{1} << 12, size_t{1} << 16}) {
@@ -557,25 +563,29 @@ X4 := aggr.sum(X3);
 
   // The frame checksum every hop verifies: bat::Crc32 on its dispatched
   // kernel, and the twin on the same buffer with the scalar paths forced
-  // (slicing-by-8). clmul reports which kernel the row ran.
-  // validate_bench_json.py gates their ratio, also on one-repeat smoke runs,
-  // so each repeat hashes at least 64 MiB: a lone stall must not decide it.
+  // (slicing-by-8) inside its own repeats. clmul reports which kernel the
+  // row ran. validate_bench_json.py gates their ratio, also on one-repeat
+  // smoke runs, so each repeat hashes at least 64 MiB and the twins
+  // alternate over at least kTwinRounds rounds: a lone stall must not
+  // decide it.
   for (size_t n : {size_t{64} << 10, size_t{4} << 20}) {
     const int crc_iters = std::max(iters, static_cast<int>((size_t{64} << 20) / n));
     Rng rng(10);
     std::string buf(n, '\0');
     for (auto& c : buf) c = static_cast<char>(rng.Next());
-    for (const bool scalar : {false, true}) {
-      enc::ScopedForceScalar force(scalar);
-      harness.Run((scalar ? "crc32_scalar/" : "crc32/") + std::to_string(n),
-                  Params(n, crc_iters), [&] {
-                    for (int i = 0; i < crc_iters; ++i) Crc32(buf.data(), n);
-                    RepResult rep;
-                    rep.items = static_cast<double>(n) * crc_iters;
-                    rep.metrics["clmul"] = enc::ClmulEnabled() ? 1.0 : 0.0;
-                    return rep;
-                  });
-    }
+    const auto twin = [&](bool scalar) {
+      return Harness::TwinCase{
+          (scalar ? "crc32_scalar/" : "crc32/") + std::to_string(n), Params(n, crc_iters),
+          [&, scalar] {
+            enc::ScopedForceScalar force(scalar);
+            for (int i = 0; i < crc_iters; ++i) Crc32(buf.data(), n);
+            RepResult rep;
+            rep.items = static_cast<double>(n) * crc_iters;
+            rep.metrics["clmul"] = enc::ClmulEnabled() ? 1.0 : 0.0;
+            return rep;
+          }};
+    };
+    harness.RunAlternating(twin(false), twin(true), kTwinRounds);
   }
 
   // Encode + decode round trip of a column fragment into one reused frame

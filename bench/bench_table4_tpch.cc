@@ -394,7 +394,7 @@ int main(int argc, char** argv) {
   if (writes > 0) {
     // Pin the pre-write version: a reader at this snapshot must keep seeing
     // the untouched Q6 answer no matter what the writers commit.
-    const uint64_t pinned = ring.PinWriteSnapshot();
+    const uint64_t pinned = ring.write_log().AcquireSnapshot();
     const workload::TpchAnswer q6_ref = workload::TpchReferenceAnswer(data, 6);
     const std::string q6_sql = workload::TpchQuerySql(6);
     std::atomic<bool> reader_ok{true};
@@ -476,14 +476,14 @@ int main(int argc, char** argv) {
     for (auto& t : writer_pool) t.join();
     stop_reader = true;
     reader.join();
-    ring.UnpinWriteSnapshot(pinned);
+    ring.write_log().ReleaseSnapshot(pinned);
 
     // With the pin released the compactor's idle drain folds the tail; wait
     // for the pending deltas to hit zero so the row below records a state
     // where folding demonstrably ran.
     const auto drain_deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (ring.Writes().pending_deltas != 0 &&
+    while (ring.write_log().Metrics().pending_deltas != 0 &&
            std::chrono::steady_clock::now() < drain_deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
@@ -514,7 +514,7 @@ int main(int argc, char** argv) {
                    tracked_qty, "marker quantity sum");
     }
 
-    const write::WriteMetrics wm = ring.Writes();
+    const write::WriteMetrics wm = ring.write_log().Metrics();
     harness.Run("updates",
                 {{"scale", Fmt("%.3f", scale)},
                  {"nodes", std::to_string(nodes)},

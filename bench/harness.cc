@@ -46,6 +46,28 @@ std::string FormatNumber(double v) {
   return buf;
 }
 
+CaseResult NewCase(const std::string& name,
+                   const std::map<std::string, std::string>& params, int warmup,
+                   int repeats) {
+  CaseResult cr;
+  cr.name = name;
+  cr.params = params;
+  cr.warmup = warmup;
+  cr.repeats = repeats;
+  return cr;
+}
+
+/// Times one repetition of `fn`: its wall time goes to `rep_ns`, its items
+/// and metrics are summed into `cr`.
+void TimeRep(const std::function<RepResult()>& fn, CaseResult* cr,
+             std::vector<double>* rep_ns) {
+  const double t0 = NowNs();
+  RepResult rep = fn();
+  rep_ns->push_back(NowNs() - t0);
+  cr->total_items += rep.items;
+  for (const auto& [k, v] : rep.metrics) cr->metrics[k] += v;
+}
+
 }  // namespace
 
 double ExactPercentile(std::vector<double> samples, double p) {
@@ -85,9 +107,11 @@ Harness::Harness(std::string name, int argc, char** argv, int default_repeats,
   for (int i = 1; i < argc; ++i) {
     std::string v;
     if (value_of(i, "repeat", &v) || value_of(i, "repeats", &v)) {
-      if (!v.empty()) repeats_ = std::max(1, static_cast<int>(std::strtol(v.c_str(), nullptr, 10)));
+      if (!v.empty())
+        repeats_ = std::max(1, static_cast<int>(std::strtol(v.c_str(), nullptr, 10)));
     } else if (value_of(i, "warmup", &v)) {
-      if (!v.empty()) warmup_ = std::max(0, static_cast<int>(std::strtol(v.c_str(), nullptr, 10)));
+      if (!v.empty())
+        warmup_ = std::max(0, static_cast<int>(std::strtol(v.c_str(), nullptr, 10)));
     } else if (value_of(i, "json", &v)) {
       json_path_ = v.empty() ? "BENCH_" + name_ + ".json" : v;
     } else if (std::string(argv[i]) == "--quiet") {
@@ -100,33 +124,43 @@ CaseResult Harness::Run(const std::string& case_name,
                         const std::map<std::string, std::string>& params,
                         const std::function<RepResult()>& fn) {
   for (int i = 0; i < warmup_; ++i) fn();
-
-  CaseResult cr;
-  cr.name = case_name;
-  cr.params = params;
-  cr.warmup = warmup_;
-  cr.repeats = repeats_;
-
-  RunningStat time_stat;
+  CaseResult cr = NewCase(case_name, params, warmup_, repeats_);
   std::vector<double> rep_ns;
-  rep_ns.reserve(static_cast<size_t>(repeats_));
-  double total_ns = 0.0;
-  for (int i = 0; i < repeats_; ++i) {
-    const double t0 = NowNs();
-    RepResult rep = fn();
-    const double elapsed = NowNs() - t0;
-    rep_ns.push_back(elapsed);
-    time_stat.Add(elapsed);
-    total_ns += elapsed;
-    cr.total_items += rep.items;
-    for (const auto& [k, v] : rep.metrics) cr.metrics[k] += v;
+  for (int i = 0; i < repeats_; ++i) TimeRep(fn, &cr, &rep_ns);
+  return Record(std::move(cr), rep_ns);
+}
+
+std::pair<CaseResult, CaseResult> Harness::RunAlternating(const TwinCase& a,
+                                                          const TwinCase& b,
+                                                          int min_rounds) {
+  const int rounds = std::max(repeats_, min_rounds);
+  CaseResult ra = NewCase(a.name, a.params, warmup_, rounds);
+  CaseResult rb = NewCase(b.name, b.params, warmup_, rounds);
+  std::vector<double> a_ns;
+  std::vector<double> b_ns;
+  for (int i = 0; i < warmup_ + rounds; ++i) {
+    for (const bool run_a : {i % 2 == 0, i % 2 != 0}) {
+      const TwinCase& twin = run_a ? a : b;
+      if (i < warmup_) {
+        twin.fn();
+      } else {
+        TimeRep(twin.fn, run_a ? &ra : &rb, run_a ? &a_ns : &b_ns);
+      }
+    }
   }
-  for (auto& [k, v] : cr.metrics) v /= static_cast<double>(repeats_);
+  return {Record(std::move(ra), a_ns), Record(std::move(rb), b_ns)};
+}
+
+CaseResult Harness::Record(CaseResult cr, const std::vector<double>& rep_ns) {
+  RunningStat time_stat;
+  for (const double ns : rep_ns) time_stat.Add(ns);
+  for (auto& [k, v] : cr.metrics) v /= static_cast<double>(cr.repeats);
   cr.p50_ns = ExactPercentile(rep_ns, 50.0);
   cr.p95_ns = ExactPercentile(rep_ns, 95.0);
   cr.mean_ns = time_stat.mean();
   cr.min_ns = time_stat.min();
   cr.max_ns = time_stat.max();
+  const double total_ns = time_stat.sum();
   cr.throughput = total_ns > 0 ? cr.total_items / (total_ns / 1e9) : 0.0;
 
   if (!quiet_) {
@@ -135,7 +169,7 @@ CaseResult Harness::Run(const std::string& case_name,
                    "reps", "p50", "p95", "items/s");
       header_printed_ = true;
     }
-    std::fprintf(stderr, "## %-38s %5d %12s %12s %14.1f\n", case_name.c_str(), repeats_,
+    std::fprintf(stderr, "## %-38s %5d %12s %12s %14.1f\n", cr.name.c_str(), cr.repeats,
                  FormatNs(cr.p50_ns).c_str(), FormatNs(cr.p95_ns).c_str(), cr.throughput);
   }
 
@@ -154,10 +188,12 @@ int Harness::Finish() {
   out << ToJson(name_, repeats_, warmup_, cases_);
   out.close();
   if (!out) {
-    std::fprintf(stderr, "bench %s: failed writing %s\n", name_.c_str(), json_path_.c_str());
+    std::fprintf(stderr, "bench %s: failed writing %s\n", name_.c_str(),
+                 json_path_.c_str());
     return 1;
   }
-  if (!quiet_) std::fprintf(stderr, "## wrote %s (%zu cases)\n", json_path_.c_str(), cases_.size());
+  if (!quiet_)
+    std::fprintf(stderr, "## wrote %s (%zu cases)\n", json_path_.c_str(), cases_.size());
   return 0;
 }
 

@@ -29,6 +29,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dcy::bench {
@@ -85,6 +86,20 @@ class Harness {
                  const std::map<std::string, std::string>& params,
                  const std::function<RepResult()>& fn);
 
+  /// One of two twin cases that RunAlternating runs together.
+  struct TwinCase {
+    std::string name;
+    std::map<std::string, std::string> params;
+    std::function<RepResult()> fn;
+  };
+
+  /// Runs twin cases whose ratio a gate reads, one repetition of each per
+  /// round: `warmup()` untimed rounds, then max(repeats(), min_rounds) timed
+  /// ones. The case that goes first swaps every round, so a slow spell of
+  /// the host lands on both twins rather than on one. Records `a`, then `b`.
+  std::pair<CaseResult, CaseResult> RunAlternating(const TwinCase& a, const TwinCase& b,
+                                                   int min_rounds);
+
   const std::vector<CaseResult>& results() const { return cases_; }
 
   /// Writes the JSON report if --json was given. Returns the process exit
@@ -103,6 +118,10 @@ class Harness {
   bool quiet_ = false;
   bool header_printed_ = false;
   std::vector<CaseResult> cases_;
+
+  /// Aggregates the timed repetitions `rep_ns` into `cr`, prints its summary
+  /// row and stores it.
+  CaseResult Record(CaseResult cr, const std::vector<double>& rep_ns);
 };
 
 // ---------------------------------------------------------------------------

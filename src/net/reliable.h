@@ -49,11 +49,6 @@ namespace dcy::net {
 /// dropped without consulting any per-sender state.
 constexpr uint32_t kFrameMagic = 0xDC7F5EEDu;
 
-/// Logical channel classes, shared with rdma::FaultLink::channel.
-constexpr uint32_t kChData = 0;
-constexpr uint32_t kChRequest = 1;
-constexpr uint32_t kChCtrl = 2;
-
 /// \brief Per-frame reliability envelope, prepended (inline, in the
 /// MetaBlob) to the application header.
 struct FrameHeader {
@@ -105,8 +100,9 @@ enum class CtrlKind : uint32_t { kAck = 1, kNack = 2, kHeartbeat = 3 };
 /// \brief Control-channel message (ACK/NACK/heartbeat); meta-only.
 struct CtrlMsg {
   uint32_t sender = core::kInvalidNode;
-  uint32_t channel = kChData;  ///< which link the ack/nack refers to
-  uint32_t kind = 0;           ///< CtrlKind
+  /// Channel class (rdma::kFaultChannel*) of the frames an ACK/NACK refers to.
+  uint32_t channel = rdma::kFaultChannelData;
+  uint32_t kind = 0;  ///< CtrlKind
   uint32_t epoch = 0;
   /// kAck: highest in-order seq received (cumulative). kNack: the seq the
   /// receiver expected (retransmit from here). kHeartbeat: unused.

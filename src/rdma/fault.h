@@ -35,7 +35,9 @@ namespace dcy::rdma {
 /// Wildcard endpoint / channel id in a FaultLink.
 constexpr uint32_t kAnyEndpoint = 0xFFFFFFFFu;
 
-/// Logical channel classes of the ring runtime (FaultLink::channel values).
+/// The channel classes of the ring runtime, the one set of them: a node's
+/// inbound channels are indexed by class, FaultLink::channel matches it, and
+/// net::CtrlMsg::channel names the class an ACK/NACK refers to.
 constexpr uint32_t kFaultChannelData = 0;     ///< clockwise BAT frames
 constexpr uint32_t kFaultChannelRequest = 1;  ///< anti-clockwise requests
 constexpr uint32_t kFaultChannelCtrl = 2;     ///< ACK/NACK/heartbeat traffic

@@ -5,21 +5,16 @@
 // query reads each BAT one way: pin on the ring, then resolve the pinned
 // fragment through the write log into the query's snapshot view.
 //
-// Threading model: each node runs one service thread that owns its DcNode
-// (single-writer, as in the simulator). Queries enter through the session
-// API (runtime/session.h): Submit() places them in the node's FIFO
-// admission queue and a fixed pool of per-node query runners (created once
-// at Start) executes at most AdmissionOptions::max_concurrent of them at a
-// time, each blocking in pin() on a future until the fragment flows by —
-// exactly the paper's §4.1 execution contract, bounded per node.
+// Each node has the paper's layers: the network layer (runtime/ring_node.h)
+// around the DcNode, and the DBMS layer (runtime/query_hooks.h) behind a FIFO
+// admission queue (runtime/admission.h). The cluster owns the owner map,
+// membership and recovery, the compactor and the plan cache.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -28,19 +23,18 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/admission.h"
 #include "core/dc_node.h"
-#include "mal/interpreter.h"
 #include "net/reliable.h"
-#include "opt/dc_optimizer.h"
-#include "rdma/channel.h"
 #include "rdma/fault.h"
+#include "runtime/admission.h"
 #include "runtime/session.h"
 #include "sql/schema.h"
 #include "storage/fragment_store.h"
 #include "write/write_log.h"
 
 namespace dcy::runtime {
+
+class RingNode;
 
 /// \brief Fault-tolerance tunables of the live ring.
 struct ResilienceOptions {
@@ -51,7 +45,6 @@ struct ResilienceOptions {
   /// Silence from a neighbour for `heartbeat_miss_threshold` periods makes
   /// a node report it as suspect (crash detection latency ~= product).
   uint32_t heartbeat_miss_threshold = 8;
-  bool enable_heartbeats = true;
   /// On a confirmed node death, re-register its fragments on the next alive
   /// node (the heir) so the data survives the owner. When off, pins on the
   /// dead node's fragments fail with Unavailable instead.
@@ -61,9 +54,6 @@ struct ResilienceOptions {
 /// \brief A complete in-process ring.
 class RingCluster {
  public:
-  /// One ring member (opaque; owned by the cluster).
-  class Node;
-
   struct Options {
     uint32_t num_nodes = 3;
     /// Protocol timers sized for a live ring, which rotates in milliseconds
@@ -87,7 +77,7 @@ class RingCluster {
     /// Per-node query admission: at most `admission.max_concurrent` queries
     /// execute on a node at once; bursts queue FIFO up to
     /// `admission.max_queued`, beyond which Submit() is rejected.
-    core::AdmissionOptions admission;
+    AdmissionOptions admission;
     /// Prepared-plan cache bound (oldest-inserted evicted beyond it), so
     /// ad-hoc query texts cannot grow the cache without limit.
     size_t plan_cache_capacity = 1024;
@@ -153,12 +143,6 @@ class RingCluster {
   Result<QueryHandle> Submit(core::NodeId node, const PreparedQueryPtr& prepared,
                              const SubmitOptions& options = {});
 
-  /// Directory lookup (in the write log): the BAT id registered for
-  /// "schema.table.column".
-  Result<core::BatId> FindFragment(const std::string& name) const {
-    return write_log_.FindFragment(name);
-  }
-
   /// SQL schema derived from the BATs registered via LoadBat (the write
   /// log's tail value types, keyed by qualified name). Snapshot: BATs
   /// loaded later are not reflected in previously returned schemas.
@@ -172,26 +156,12 @@ class RingCluster {
   /// durable payload of every fragment), commit authority for INSERT/DELETE,
   /// versioned fragment views, and the fold machinery. A commit reaches
   /// readers only through it: the ring carries base fragments, and every pin
-  /// resolves its fragment here at the query's snapshot. Exposed for tests and tools
-  /// (SetFoldHookForTest, TableVersions); queries go through SQL/MAL.
+  /// resolves its fragment here at the query's snapshot. Tests, tools and
+  /// benches read it directly (FindFragment, Metrics, TableVersions, pinned
+  /// reader snapshots via AcquireSnapshot/ReleaseSnapshot); queries go
+  /// through SQL/MAL.
   write::WriteLog& write_log() { return write_log_; }
   const write::WriteLog& write_log() const { return write_log_; }
-
-  /// Write-subsystem counters (deltas published/merged/folded,
-  /// compactions).
-  write::WriteMetrics Writes() const { return write_log_.Metrics(); }
-  /// Per-table base/current versions and pending-delta gauges (dcsql
-  /// \tables).
-  std::vector<write::TableVersionInfo> TableVersions() const {
-    return write_log_.TableVersions();
-  }
-
-  /// Pins the current commit version as a reader snapshot: folds never pass
-  /// it, so SubmitOptions::snapshot_version can replay reads at this version
-  /// indefinitely. Balance with UnpinWriteSnapshot.
-  uint64_t PinWriteSnapshot() { return write_log_.AcquireSnapshot(); }
-  void UnpinWriteSnapshot(uint64_t v) { write_log_.ReleaseSnapshot(v); }
-  uint64_t CurrentWriteVersion() const { return write_log_.CurrentVersion(); }
 
   // ---- fault tolerance ------------------------------------------------------
 
@@ -236,7 +206,6 @@ class RingCluster {
     uint64_t heartbeats_received = 0;
     uint64_t heartbeats_missed = 0;
     // Degradation bookkeeping.
-    uint64_t forwards_without_payload = 0;
     uint64_t orphan_frames_dropped = 0;  ///< dead-owner frames aged out
     uint64_t frames_adopted = 0;         ///< dead-owner frames re-homed in flight
     uint64_t decode_failures = 0;
@@ -286,7 +255,7 @@ class RingCluster {
   /// Protocol metrics of a node (snapshot; service thread keeps mutating).
   core::DcNodeMetrics NodeMetrics(core::NodeId node) const;
   /// Admission-queue metrics of a node (snapshot).
-  core::AdmissionMetrics NodeAdmissionMetrics(core::NodeId node) const;
+  AdmissionMetrics NodeAdmissionMetrics(core::NodeId node) const;
   /// Outstanding S2 request entries at a node (snapshot; tests use this to
   /// assert cancelled queries do not leak fragment requests).
   size_t OutstandingRequestEntries(core::NodeId node) const;
@@ -296,12 +265,7 @@ class RingCluster {
   const Options& options() const { return options_; }
 
  private:
-  friend class Node;
-  friend class Session;
-
-  /// Runs one admitted query on its node (called by the node's runners).
-  Result<QueryResult> RunQuery(Node* node, const PreparedQuery& plan,
-                               internal::QueryState* state, const SubmitOptions& options);
+  friend class RingNode;
 
   /// A node's heartbeat watchdog fired: `reporter` has heard nothing from
   /// `suspect`. Consults the membership oracle (was the node actually
@@ -323,10 +287,10 @@ class RingCluster {
   /// what an owner announces to its protocol state.
   uint64_t BaseBytes(core::BatId bat) const;
 
-  /// Neighbour walk over the original ring order, skipping spliced-out
-  /// nodes. Callers hold ring_mu_.
-  core::NodeId NextAliveLocked(core::NodeId from) const;
-  core::NodeId PrevAliveLocked(core::NodeId from) const;
+  /// The nearest spliced-in node after `from` (before it when not
+  /// `clockwise`) in the original ring order; `from` when there is none.
+  /// Callers hold ring_mu_.
+  core::NodeId AliveNeighbourLocked(core::NodeId from, bool clockwise) const;
 
   /// One compactor sweep: folds every threshold-crossed table whose first
   /// fragment's owner is alive, guarded by that owner's liveness. Owners
@@ -336,7 +300,7 @@ class RingCluster {
   void CompactorLoop();
 
   Options options_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<std::unique_ptr<RingNode>> nodes_;
   /// The node owning each fragment (paper §4.2: one owner per BAT), the
   /// cluster's only fragment state beside the write log. Re-homing moves
   /// entries to the heir.
@@ -349,13 +313,9 @@ class RingCluster {
   std::unique_ptr<std::atomic<bool>[]> alive_;      ///< lock-free liveness
   std::atomic<uint32_t> dead_count_{0};
   std::atomic<uint64_t> unavailable_failures_{0};
-  uint64_t nodes_crashed_ = 0;
-  uint64_t nodes_restarted_ = 0;
-  uint64_t resplices_ = 0;
-  uint64_t suspicions_ = 0;
-  uint64_t false_suspicions_ = 0;
-  uint64_t rehomed_fragments_ = 0;
-  double last_recovery_seconds_ = 0.0;
+  /// Membership and recovery counters (crashes, restarts, suspicions,
+  /// re-splices, re-homes, last recovery time); nodes add the rest.
+  ResilienceMetrics recovery_;
   std::chrono::steady_clock::time_point crashed_at_{};
   std::atomic<core::BatId> next_bat_{1};
   std::atomic<core::QueryId> next_query_{1};

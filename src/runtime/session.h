@@ -196,7 +196,7 @@ struct SubmitOptions {
   /// Transient-failure retry (Session::Execute only).
   RetryPolicy retry;
   /// Read at this commit version instead of the latest (nullopt = latest).
-  /// The version must be pinned (RingCluster::PinWriteSnapshot) or be at
+  /// The version must be pinned (WriteLog::AcquireSnapshot) or be at
   /// most the current version; a version the compactor already folded past
   /// fails with FailedPrecondition (not retryable).
   std::optional<uint64_t> snapshot_version;

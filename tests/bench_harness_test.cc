@@ -70,6 +70,42 @@ TEST(HarnessTest, WarmupAndRepeatAccounting) {
   EXPECT_GT(r.throughput, 0.0);
 }
 
+TEST(HarnessTest, TwinCasesAlternateWhichGoesFirst) {
+  std::vector<std::string> args = {"prog", "--repeat", "1", "--warmup=1", "--quiet"};
+  auto argv = Argv(args);
+  Harness h("unit", static_cast<int>(argv.size()), argv.data());
+
+  std::string order;
+  const auto twin = [&](char tag) {
+    Harness::TwinCase c;
+    c.name = std::string(1, tag);
+    c.fn = [&order, tag] {
+      order += tag;
+      RepResult rep;
+      rep.items = 1.0;
+      rep.metrics["tag"] = tag;
+      return rep;
+    };
+    return c;
+  };
+  const auto [a, b] = h.RunAlternating(twin('a'), twin('b'), 5);
+  // One warmup round, then five timed rounds (min_rounds beats --repeat 1),
+  // and the case that goes first swaps every round.
+  EXPECT_EQ(order, "abbaabbaabba");
+  for (const CaseResult* r : {&a, &b}) {
+    EXPECT_EQ(r->repeats, 5);
+    EXPECT_EQ(r->warmup, 1);
+    EXPECT_DOUBLE_EQ(r->total_items, 5.0);
+    EXPECT_LE(r->min_ns, r->p50_ns);
+    EXPECT_LE(r->p50_ns, r->max_ns);
+  }
+  EXPECT_DOUBLE_EQ(a.metrics.at("tag"), 'a');
+  EXPECT_DOUBLE_EQ(b.metrics.at("tag"), 'b');
+  ASSERT_EQ(h.results().size(), 2u);
+  EXPECT_EQ(h.results()[0].name, "a");
+  EXPECT_EQ(h.results()[1].name, "b");
+}
+
 TEST(HarnessTest, DefaultsAndSpaceSeparatedFlagForms) {
   std::vector<std::string> args = {"prog", "--repeat", "7", "--json", "out.json"};
   auto argv = Argv(args);

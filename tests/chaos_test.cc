@@ -366,10 +366,11 @@ class DegradedBlockingTest : public ChaosTest {
  protected:
   void SetUpBlockedRing() {
     auto opts = ChaosOptions();
-    // No heartbeats: the crash is never detected, the ring never resplices,
+    // No failure detection: a silence bound of ~248 days at 5 ms periods
+    // means the crash is never detected, the ring never resplices, and
     // requests for the dead owner's fragment silently vanish. This is the
     // worst case: pins block until the client's deadline/cancel fires.
-    opts.resilience.enable_heartbeats = false;
+    opts.resilience.heartbeat_miss_threshold = UINT32_MAX;
     SetUpCluster(opts);
     session = std::make_unique<Session>(*cluster->OpenSession(0));
     ASSERT_TRUE(cluster->CrashNode(1).ok());  // owner of sys.t.id
@@ -749,10 +750,10 @@ TEST_F(ChaosTest, AcknowledgedWritesSurviveCrashMidCompaction) {
   // delta under the next base version.
   EXPECT_TRUE(Eventually([&] { return crashed.load(); }, 10000));
   EXPECT_TRUE(Eventually(
-      [&] { return cluster->Writes().compactions_abandoned >= 1; }, 10000));
+      [&] { return cluster->write_log().Metrics().compactions_abandoned >= 1; }, 10000));
   EXPECT_TRUE(Eventually(
       [&] {
-        const auto m = cluster->Writes();
+        const auto m = cluster->write_log().Metrics();
         return m.compactions >= 1 && m.pending_deltas == 0;
       },
       20000));
@@ -787,10 +788,10 @@ TEST_F(ChaosTest, AcknowledgedWritesSurviveCrashMidCompaction) {
     for (size_t i = 0; i < r->result.num_rows(); ++i) {
       final_rows.insert(r->result.Int64At(i, 0));
     }
-    EXPECT_EQ(final_rows, expect_at(cluster->CurrentWriteVersion()));
+    EXPECT_EQ(final_rows, expect_at(cluster->write_log().CurrentVersion()));
   }
 
-  const auto m = cluster->Writes();
+  const auto m = cluster->write_log().Metrics();
   EXPECT_EQ(m.rows_inserted, 24u);
   EXPECT_EQ(m.rows_deleted, 1u);
   EXPECT_GT(m.deltas_published, 0u);
@@ -858,7 +859,7 @@ TEST_F(ChaosTest, OwnerPinsSurviveFoldRepublish) {
   stop.store(true);
   writer.join();
 
-  const auto m = cluster->Writes();
+  const auto m = cluster->write_log().Metrics();
   EXPECT_EQ(failed, 0u) << failed << " of " << reads << " reads failed over "
                         << m.compactions << " folds; first: " << first_error;
   EXPECT_EQ(wrong, 0u) << wrong << " of " << reads << " counts were wrong";
@@ -878,6 +879,31 @@ TEST_F(ChaosTest, HeartbeatsFlowOnAHealthyRing) {
   }));
   // A healthy ring never suspects anyone.
   EXPECT_EQ(cluster->Resilience().ring_resplices, 0u);
+}
+
+TEST_F(ChaosTest, SilentButLiveNeighboursAreFalseSuspicions) {
+  rdma::FaultInjector& fault = *MakeInjector(0x51DE);
+  // Node 1 hears no control frame (heartbeat, ACK, NACK) for the first 40
+  // from each sender: both of its live neighbours go silent to it.
+  fault.AddRule(rdma::FaultInjector::Partition(
+      {rdma::kAnyEndpoint, 1, rdma::kFaultChannelCtrl}, 0, 40));
+  auto opts = ChaosOptions();
+  opts.fault = &fault;
+  SetUpCluster(opts);
+
+  // Node 1 reports each neighbour, and the membership oracle finds each one
+  // alive: the suspicions are false and the ring stays whole.
+  ASSERT_TRUE(
+      Eventually([&] { return cluster->Resilience().false_suspicions >= 2; }))
+      << "node 1 never reported its silent neighbours";
+  const auto res = cluster->Resilience();
+  EXPECT_EQ(res.ring_resplices, 0u);
+  EXPECT_EQ(res.nodes_crashed, 0u);
+  EXPECT_FALSE(cluster->degraded());
+
+  auto session = cluster->OpenSession(0);
+  ASSERT_TRUE(session.ok());
+  for (int i = 0; i < 5; ++i) ExpectSumCorrect(&*session);
 }
 
 }  // namespace

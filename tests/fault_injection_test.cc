@@ -564,7 +564,7 @@ TEST(ReliableEnvelopeTest, AnyEnvelopeBitFlipFailsVerification) {
 TEST(ReliableEnvelopeTest, AnyCtrlBitFlipFailsItsChecksum) {
   net::CtrlMsg c;
   c.sender = 2;
-  c.channel = net::kChData;
+  c.channel = rdma::kFaultChannelData;
   c.kind = static_cast<uint32_t>(net::CtrlKind::kAck);
   c.epoch = 3;
   c.seq = 41;

@@ -315,7 +315,7 @@ TEST_F(WriteRing, InsertIsVisibleToSubsequentReadsAndCirculates) {
             (std::multiset<int64_t>{40}));
   EXPECT_EQ(SelectV(), (std::multiset<int64_t>{10, 20, 30, 40}));
 
-  const auto m = cluster->Writes();
+  const auto m = cluster->write_log().Metrics();
   EXPECT_EQ(m.commits, 1u);
   EXPECT_EQ(m.rows_inserted, 1u);
   EXPECT_EQ(m.deltas_published, 2u);
@@ -337,7 +337,7 @@ TEST_F(WriteRing, DeleteRemovesMatchingRows) {
   ASSERT_TRUE(del.ok()) << del.status().ToString();
   EXPECT_EQ(std::get<int64_t>(del->result.scalar()), 1);
   EXPECT_EQ(SelectV(), (std::multiset<int64_t>{10, 30}));
-  EXPECT_EQ(cluster->Writes().rows_deleted, 1u);
+  EXPECT_EQ(cluster->write_log().Metrics().rows_deleted, 1u);
 
   // Insert after delete: both deltas apply in version order.
   ASSERT_TRUE(Run("insert into u values (5, 50)").ok());
@@ -349,7 +349,7 @@ TEST_F(WriteRing, PinnedSnapshotsReplayThePast) {
   opts.compaction.enable = false;
   StartCluster(opts);
 
-  const uint64_t snap = cluster->PinWriteSnapshot();
+  const uint64_t snap = cluster->write_log().AcquireSnapshot();
   ASSERT_TRUE(Run("insert into u values (4, 40)").ok());
 
   runtime::SubmitOptions at_snap;
@@ -360,11 +360,11 @@ TEST_F(WriteRing, PinnedSnapshotsReplayThePast) {
   EXPECT_EQ(past->result.num_rows(), 3u);
 
   EXPECT_EQ(SelectV(), (std::multiset<int64_t>{10, 20, 30, 40}));
-  cluster->UnpinWriteSnapshot(snap);
+  cluster->write_log().ReleaseSnapshot(snap);
 
   // A snapshot ahead of the current version is refused at submit.
   runtime::SubmitOptions ahead;
-  ahead.snapshot_version = cluster->CurrentWriteVersion() + 5;
+  ahead.snapshot_version = cluster->write_log().CurrentVersion() + 5;
   auto bad = Run("select v from u", ahead);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
@@ -382,19 +382,19 @@ TEST_F(WriteRing, BackgroundCompactionFoldsAndReadsStayCorrect) {
 
   ASSERT_TRUE(WaitUntil(
       [&] {
-        const auto m = cluster->Writes();
+        const auto m = cluster->write_log().Metrics();
         return m.compactions >= 1 && m.pending_deltas == 0;
       },
       milliseconds(10000)))
       << "compactor never folded the pending deltas";
 
   EXPECT_EQ(SelectV(), (std::multiset<int64_t>{20, 30, 40, 50}));
-  const auto m = cluster->Writes();
+  const auto m = cluster->write_log().Metrics();
   EXPECT_GT(m.deltas_published, 0u);
   EXPECT_GT(m.deltas_folded, 0u);
 
   bool found = false;
-  for (const auto& info : cluster->TableVersions()) {
+  for (const auto& info : cluster->write_log().TableVersions()) {
     if (info.table != "sys.u") continue;
     found = true;
     EXPECT_GE(info.base_version, 1u);
@@ -423,7 +423,7 @@ TEST_F(WriteRing, FoldRepublishEncodesTheNewBaseOnTheNextLoad) {
   ASSERT_TRUE(Run("insert into u values (4, 40)").ok());
   ASSERT_TRUE(WaitUntil(
       [&] {
-        const auto m = cluster->Writes();
+        const auto m = cluster->write_log().Metrics();
         return m.compactions >= 1 && m.pending_deltas == 0;
       },
       milliseconds(10000)))

@@ -104,7 +104,9 @@ void PrintSchema(const runtime::RingCluster& ring) {
   // the newest commit touching the table, and how many delta BATs the
   // compactor has yet to fold.
   std::map<std::string, write::TableVersionInfo> versions;
-  for (auto& v : ring.TableVersions()) versions.emplace(v.table, std::move(v));
+  for (auto& v : ring.write_log().TableVersions()) {
+    versions.emplace(v.table, std::move(v));
+  }
   for (const auto& table : schema.TableNames()) {
     std::printf("%s (", table.c_str());
     const auto& cols = schema.TableColumns(table);
