@@ -1,13 +1,12 @@
 // Micro-benchmarks of the BAT engine operators (M1): select / hash join /
 // merge join / fetch join (against its keyed merge twin) / semijoin / sort /
 // group-aggregate throughput, plus the frame CRC (against its scalar twin)
-// and the bulk BAT serializer on the ring hot path, the morsel-parallel
-// engine with a workers axis (par_* cases: select/join/aggregate, sort/topn,
-// the radix-partitioned join build, and the two-pass string gather;
-// --workers=N pins one point, --workers=0 sweeps 1/2/4/8; --morsel_rows
-// tunes the stealing granule, --scale shrinks the parallel input for smoke
-// runs), and the session query API on a live ring
-// (query_prepared vs query_reparse, --sessions=1/4/16 concurrency axis).
+// and the bulk BAT serializer on the ring hot path, the kernels on
+// ring-delivered encoded fragments and the presized string gather at
+// fragment scale (dict_select, for_unpack, encoded_roundtrip, str_gather;
+// --scale shrinks their 4M-row input for smoke runs), and the session query
+// API on a live ring (query_prepared vs query_reparse, --sessions=1/4/16
+// concurrency axis). Every kernel runs on the calling thread.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -23,7 +22,6 @@
 #include "bench/harness.h"
 #include "common/flags.h"
 #include "common/random.h"
-#include "exec/executor.h"
 #include "runtime/ring_cluster.h"
 #include "runtime/session.h"
 
@@ -47,13 +45,6 @@ BatPtr RandomIntBat(size_t n, int32_t domain, uint64_t seed) {
 
 std::map<std::string, std::string> Params(size_t n, int iters) {
   return {{"n", std::to_string(n)}, {"iters", std::to_string(iters)}};
-}
-
-std::map<std::string, std::string> ParParams(size_t n, size_t workers,
-                                             size_t morsel_rows) {
-  return {{"n", std::to_string(n)},
-          {"workers", std::to_string(workers)},
-          {"morsel_rows", std::to_string(morsel_rows)}};
 }
 
 }  // namespace
@@ -200,53 +191,28 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Morsel-parallel engine: the same hot operators at ring-fragment scale
-  // (default 4M rows) across a worker axis, so run-over-run reports expose
-  // the scaling curve. workers=1 is the sequential engine (the parallel
-  // kernels fall back below min_parallel_rows and when only one worker
-  // would participate) — its p50 is the no-regression baseline.
+  // Ring-fragment scale (default 4M rows): the string gather and the
+  // kernels on encoded fragments.
   {
     const auto scale = flags.GetDouble("scale", 1.0);
-    const size_t par_rows = std::max<size_t>(
+    const size_t rows = std::max<size_t>(
         size_t{1} << 16, static_cast<size_t>(scale * static_cast<double>(1 << 22)));
-    const size_t morsel_rows =
-        static_cast<size_t>(flags.GetInt("morsel_rows", 64 * 1024));
-    const int64_t pinned = flags.GetInt("workers", 0);
-    std::vector<size_t> axis;
-    if (pinned > 0) {
-      axis.push_back(static_cast<size_t>(pinned));
-    } else {
-      axis = {1, 2, 4, 8};
-    }
-
-    auto probe = RandomIntBat(par_rows, static_cast<int32_t>(par_rows / 4), 10);
-    auto build = Reverse(RandomIntBat(par_rows / 4, static_cast<int32_t>(par_rows / 4), 11));
-    auto values = RandomIntBat(par_rows, 1 << 20, 12);
-    auto gids = RandomIntBat(par_rows, 255, 13);
-    auto sort_input = RandomIntBat(par_rows, 1 << 30, 15);
-    // Sparse 64-bit build keys: the partitioned open-addressing build (a
-    // compact domain would collapse to direct addressing).
-    std::vector<int64_t> build_keys(par_rows);
-    {
-      Rng rng(16);
-      for (auto& k : build_keys) {
-        k = static_cast<int64_t>(rng.UniformU64(0, ~uint64_t{0} >> 1));
-      }
-    }
-    // String gather input: par_rows short strings, gathered in random order.
+    const std::string suffix = "/" + std::to_string(rows);
+    const std::map<std::string, std::string> params = {{"n", std::to_string(rows)}};
+    // String gather input: `rows` short strings, gathered in random order.
     BatPtr str_bat;
-    std::vector<uint32_t> str_idx(par_rows);
+    std::vector<uint32_t> str_idx(rows);
     {
       Rng rng(17);
       ColumnBuilder sb(ValType::kStr);
       std::string s;
-      for (size_t i = 0; i < par_rows; ++i) {
+      for (size_t i = 0; i < rows; ++i) {
         s = "v" + std::to_string(rng.UniformU64(0, 1 << 16));
         sb.AppendString(s);
       }
       str_bat = Bat::MakeColumn(sb.Finish());
       for (auto& x : str_idx) {
-        x = static_cast<uint32_t>(rng.UniformU64(0, par_rows - 1));
+        x = static_cast<uint32_t>(rng.UniformU64(0, rows - 1));
       }
     }
     // Encoded-kernel inputs, built through the wire round trip so the cases
@@ -262,14 +228,14 @@ int main(int argc, char** argv) {
       ColumnBuilder sb(ValType::kStr);
       std::string s;
       char buf[16];
-      for (size_t i = 0; i < par_rows; ++i) {
+      for (size_t i = 0; i < rows; ++i) {
         std::snprintf(buf, sizeof(buf), "grp-%04d",
                       static_cast<int>(rng.UniformU64(0, 63)));
         sb.AppendString(buf);
       }
       auto plain = Bat::MakeColumn(sb.Finish());
       dict_bat = *Deserialize(Serialize(*plain));
-      std::vector<int64_t> sorted(par_rows);
+      std::vector<int64_t> sorted(rows);
       int64_t acc = 1'000'000;
       for (auto& x : sorted) {
         acc += static_cast<int64_t>(rng.UniformU64(0, 7));
@@ -280,110 +246,50 @@ int main(int argc, char** argv) {
       SerializeInto(*sorted_bat, &sorted_frame);
     }
 
-    for (size_t w : axis) {
-      exec::ExecPolicy policy;
-      policy.workers = w;
-      policy.morsel_rows = morsel_rows;
-      policy.min_parallel_rows = size_t{1} << 16;
-      exec::ScopedExecPolicy scoped(policy);
-      const std::string suffix = "/" + std::to_string(par_rows) + "/w" + std::to_string(w);
+    harness.Run("str_gather" + suffix, params, [&] {
+      // Presized string materialization (length sum, then one memcpy per
+      // string).
+      auto col = kernels::Gather(*str_bat->tail(), str_idx.data(), str_idx.size());
+      RepResult rep;
+      rep.items = static_cast<double>(rows);
+      rep.metrics["heap_bytes"] = static_cast<double>(col->ByteSize());
+      return rep;
+    });
 
-      harness.Run("par_select_range" + suffix, ParParams(par_rows, w, morsel_rows), [&] {
-        auto r = SelectRange(values, Value::MakeInt(1 << 18), Value::MakeInt(3 << 18));
-        RepResult rep;
-        rep.items = static_cast<double>(par_rows);
-        rep.metrics["selected"] = r.ok() ? static_cast<double>((*r)->size()) : -1.0;
-        return rep;
-      });
+    harness.Run("dict_select" + suffix, params, [&] {
+      // String equality on the ring-delivered column: one dictionary
+      // binary search + a SIMD integer scan over the codes when encoded,
+      // a full heap scan when not.
+      auto r = Select(dict_bat, Value::MakeStr(dict_needle));
+      RepResult rep;
+      rep.items = static_cast<double>(rows);
+      rep.metrics["selected"] = r.ok() ? static_cast<double>((*r)->size()) : -1.0;
+      return rep;
+    });
 
-      harness.Run("par_hash_join" + suffix, ParParams(par_rows, w, morsel_rows), [&] {
-        auto out = Join(probe, build);
-        RepResult rep;
-        rep.items = static_cast<double>(par_rows);
-        rep.metrics["matches"] = out.ok() ? static_cast<double>((*out)->size()) : -1.0;
-        return rep;
-      });
+    harness.Run("for_unpack" + suffix, params, [&] {
+      // Decode of a sorted int64 fragment: FOR unpack (SIMD gather +
+      // shift) when encoded, a plain memcpy when not.
+      auto restored = Deserialize(sorted_frame);
+      RepResult rep;
+      rep.items = static_cast<double>(rows);
+      rep.metrics["rows"] =
+          restored.ok() ? static_cast<double>((*restored)->size()) : -1.0;
+      return rep;
+    });
 
-      harness.Run("par_aggregate" + suffix, ParParams(par_rows, w, morsel_rows), [&] {
-        auto total = Sum(values);
-        auto per_group = SumPerGroup(values, gids, 256);
-        auto counts = CountPerGroup(gids, 256);
-        RepResult rep;
-        rep.items = static_cast<double>(par_rows);
-        rep.metrics["sum_ok"] =
-            total.ok() && per_group.ok() && counts.ok() ? 1.0 : 0.0;
-        return rep;
-      });
-
-      harness.Run("par_sort" + suffix, ParParams(par_rows, w, morsel_rows), [&] {
-        auto r = Sort(sort_input);
-        RepResult rep;
-        rep.items = static_cast<double>(par_rows);
-        rep.metrics["rows"] = r.ok() ? static_cast<double>((*r)->size()) : -1.0;
-        return rep;
-      });
-
-      harness.Run("par_topn" + suffix, ParParams(par_rows, w, morsel_rows), [&] {
-        auto r = TopN(sort_input, 100, /*descending=*/true);
-        RepResult rep;
-        rep.items = static_cast<double>(par_rows);
-        rep.metrics["rows"] = r.ok() ? static_cast<double>((*r)->size()) : -1.0;
-        return rep;
-      });
-
-      harness.Run("par_join_build" + suffix, ParParams(par_rows, w, morsel_rows), [&] {
-        // Isolates the radix-partitioned hash build (no probe).
-        kernels::PartitionedTable table(build_keys.data(), build_keys.size());
-        RepResult rep;
-        rep.items = static_cast<double>(par_rows);
-        rep.metrics["partitions"] = static_cast<double>(table.partitions());
-        return rep;
-      });
-
-      harness.Run("par_str_gather" + suffix, ParParams(par_rows, w, morsel_rows), [&] {
-        // Two-pass parallel string materialization (size scan + splice).
-        auto col = kernels::Gather(*str_bat->tail(), str_idx.data(), str_idx.size());
-        RepResult rep;
-        rep.items = static_cast<double>(par_rows);
-        rep.metrics["heap_bytes"] = static_cast<double>(col->ByteSize());
-        return rep;
-      });
-
-      harness.Run("dict_select" + suffix, ParParams(par_rows, w, morsel_rows), [&] {
-        // String equality on the ring-delivered column: one dictionary
-        // binary search + a SIMD integer scan over the codes when encoded,
-        // a full heap scan when not.
-        auto r = Select(dict_bat, Value::MakeStr(dict_needle));
-        RepResult rep;
-        rep.items = static_cast<double>(par_rows);
-        rep.metrics["selected"] = r.ok() ? static_cast<double>((*r)->size()) : -1.0;
-        return rep;
-      });
-
-      harness.Run("for_unpack" + suffix, ParParams(par_rows, w, morsel_rows), [&] {
-        // Decode of a sorted int64 fragment: FOR unpack (SIMD gather +
-        // shift) when encoded, a plain memcpy when not.
-        auto restored = Deserialize(sorted_frame);
-        RepResult rep;
-        rep.items = static_cast<double>(par_rows);
-        rep.metrics["rows"] =
-            restored.ok() ? static_cast<double>((*restored)->size()) : -1.0;
-        return rep;
-      });
-
-      harness.Run("encoded_roundtrip" + suffix, ParParams(par_rows, w, morsel_rows), [&] {
-        // Full encode + decode of the low-cardinality string fragment (the
-        // string-heavy counterpart of serialize_roundtrip below).
-        std::string frame;
-        SerializeInto(*dict_bat, &frame);
-        auto restored = Deserialize(frame);
-        RepResult rep;
-        rep.items = static_cast<double>(par_rows);
-        rep.metrics["frame_bytes"] =
-            restored.ok() ? static_cast<double>(frame.size()) : -1.0;
-        return rep;
-      });
-    }
+    harness.Run("encoded_roundtrip" + suffix, params, [&] {
+      // Full encode + decode of the low-cardinality string fragment (the
+      // string-heavy counterpart of serialize_roundtrip below).
+      std::string frame;
+      SerializeInto(*dict_bat, &frame);
+      auto restored = Deserialize(frame);
+      RepResult rep;
+      rep.items = static_cast<double>(rows);
+      rep.metrics["frame_bytes"] =
+          restored.ok() ? static_cast<double>(frame.size()) : -1.0;
+      return rep;
+    });
   }
 
   // Query API control path on a live 3-node ring (small fragments, so the

@@ -6,8 +6,10 @@
 // checked against an independently computed answer (plain C++ loops over
 // the generated tuples, no engine code).
 //
-// Reported per query: wall time, compute vs ring split (exec_seconds vs
-// pin_blocked_seconds), result rows, and validation status. The process
+// Reported per query: wall time, interpreter execution time (pin waits
+// included, exec_seconds), the summed time its pins sat blocked on the ring
+// (pin_blocked_seconds; concurrent pins add up, so it can exceed the
+// execution time), result rows, and validation status. The process
 // exits non-zero on any result mismatch, so CI smoke runs double as a
 // correctness gate for the SQL front end.
 //
@@ -228,8 +230,9 @@ int main(int argc, char** argv) {
                   return rep;
                 });
     if (!ok) ++failures;
-    std::printf("Q%-2d %6zu rows  %8.2f ms compute  %8.2f ms ring-blocked  %s\n", q,
-                rows, 1e3 * exec_sec / iters, 1e3 * pin_sec / iters,
+    std::printf("Q%-2d %6zu rows  %8.2f ms exec (pins included)  %8.2f ms pins blocked "
+                "(summed)  %s\n",
+                q, rows, 1e3 * exec_sec / iters, 1e3 * pin_sec / iters,
                 ok ? "validated" : "MISMATCH");
   }
 

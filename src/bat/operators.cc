@@ -1,7 +1,6 @@
 #include "bat/operators.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -22,24 +21,16 @@
 // bat/scalar_reference.h; it has no fetch path, so the oracle checks the
 // fetch join against an independent algorithm.
 //
-// Large inputs run morsel-parallel on the shared exec::Executor (see the
-// MorselPlan machinery in bat/kernels.h): hash-join probes and membership
-// filters emit per-morsel match vectors stitched in morsel order (output
-// bit-identical to the sequential pass), hash builds radix-partition into
-// per-partition FlatTables (kernels::PartitionedTable), Sort/TopN run
-// per-morsel sorts/bounded heaps merged under a stable total order, and
-// aggregates accumulate thread-local partials merged at the end (integer
-// aggregates exact; floating-point sums associate per-morsel,
-// deterministically for a fixed policy). Inputs below
-// ExecPolicy::min_parallel_rows take the sequential loops unchanged.
+// Every operator runs one sequential pass on the calling thread: hash joins
+// and membership filters build one FlatTable and probe it in one loop, Sort
+// is std::stable_sort and TopN one partial_sort, and sums add in row order,
+// so floating-point aggregates match a row-order loop bit for bit.
 
 namespace dcy::bat {
 
 namespace {
 
 using kernels::FlatTable;
-using kernels::MorselPlan;
-using kernels::PartitionedTable;
 
 /// Integer family (oid/int/lng/date) members are join-compatible.
 bool IsIntegerFamily(ValType t) {
@@ -231,44 +222,19 @@ BatPtr HashJoinImpl(const Bat& l, const Bat& r) {
   }
   // Int64 keys: integer families widen, doubles bit-cast (same equality the
   // scalar reference hash join uses). 8-byte key columns alias their payload
-  // (no key materialization); the build radix-partitions across the executor
-  // at or above min_parallel_rows.
+  // (no key materialization).
   std::vector<int64_t> rk_scratch;
-  const PartitionedTable table(kernels::Int64KeySpan(*r.head(), &rk_scratch));
+  const FlatTable table(kernels::Int64KeySpan(*r.head(), &rk_scratch));
   std::vector<int64_t> lk_scratch;
   const Span<int64_t> lk = kernels::Int64KeySpan(*l.tail(), &lk_scratch);
-  const MorselPlan plan = kernels::PlanMorsels(lk.size);
-  if (!plan.parallel) {
-    li.reserve(lk.size);  // FK-join guess: ~one match per probe row
-    ri.reserve(lk.size);
-    for (size_t i = 0; i < lk.size; ++i) {
-      for (uint32_t j = table.Find(lk[i]); j != PartitionedTable::kNone;
-           j = table.Next(j)) {
-        li.push_back(static_cast<uint32_t>(i));
-        ri.push_back(j);
-      }
+  li.reserve(lk.size);  // FK-join guess: ~one match per probe row
+  ri.reserve(lk.size);
+  for (size_t i = 0; i < lk.size; ++i) {
+    for (uint32_t j = table.Find(lk[i]); j != FlatTable::kNone; j = table.Next(j)) {
+      li.push_back(static_cast<uint32_t>(i));
+      ri.push_back(j);
     }
-    return EmitJoin(l, r, li, ri);
   }
-  // Parallel probe: the table is immutable now, so morsels of probe rows
-  // scan it concurrently; stitching the per-morsel match vectors in morsel
-  // order reproduces the sequential probe order exactly.
-  std::vector<SelVec> lparts(plan.morsels), rparts(plan.morsels);
-  kernels::ForEachMorsel(plan, lk.size, [&](size_t m, size_t b, size_t e) {
-    SelVec& lp = lparts[m];
-    SelVec& rp = rparts[m];
-    lp.reserve(e - b);
-    rp.reserve(e - b);
-    for (size_t i = b; i < e; ++i) {
-      for (uint32_t j = table.Find(lk[i]); j != PartitionedTable::kNone;
-           j = table.Next(j)) {
-        lp.push_back(static_cast<uint32_t>(i));
-        rp.push_back(j);
-      }
-    }
-  });
-  kernels::StitchSelVecs(lparts, &li);
-  kernels::StitchSelVecs(rparts, &ri);
   return EmitJoin(l, r, li, ri);
 }
 
@@ -335,23 +301,12 @@ Result<SelVec> HeadMembershipSel(const Bat& l, const Bat& r, bool want) {
     return sel;
   }
   std::vector<int64_t> rk_scratch;
-  const PartitionedTable table(CastInt64KeySpan(*r.head(), &rk_scratch));
+  const FlatTable table(CastInt64KeySpan(*r.head(), &rk_scratch));
   std::vector<int64_t> lk_scratch;
   const Span<int64_t> lk = CastInt64KeySpan(*l.head(), &lk_scratch);
-  const MorselPlan plan = kernels::PlanMorsels(lk.size);
-  if (!plan.parallel) {
-    for (size_t i = 0; i < lk.size; ++i) {
-      if (table.Contains(lk[i]) == want) sel.push_back(static_cast<uint32_t>(i));
-    }
-    return sel;
+  for (size_t i = 0; i < lk.size; ++i) {
+    if (table.Contains(lk[i]) == want) sel.push_back(static_cast<uint32_t>(i));
   }
-  std::vector<SelVec> parts(plan.morsels);
-  kernels::ForEachMorsel(plan, lk.size, [&](size_t m, size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      if (table.Contains(lk[i]) == want) parts[m].push_back(static_cast<uint32_t>(i));
-    }
-  });
-  kernels::StitchSelVecs(parts, &sel);
   return sel;
 }
 
@@ -596,8 +551,6 @@ Result<BatPtr> GroupValues(const BatPtr& b) {
       first[g] = static_cast<uint32_t>(i);
     }
   }
-  // Representative-value materialization through the adaptive gather: large
-  // string group domains take the two-pass parallel heap build.
   ColumnPtr values = kernels::Gather(*b->tail(), first.data(), first.size());
   Bat::Properties p;
   p.hsorted = p.hkey = true;
@@ -686,44 +639,8 @@ uint64_t Count(const BatPtr& b) { return b->size(); }
 
 namespace {
 
-/// Fused sum of rows [begin, end) in the accumulator type Acc, without
-/// materializing a key vector.
-template <typename Acc>
-Acc FusedSumSpan(const Column& t, size_t begin, size_t end) {
-  Acc s = 0;
-  switch (t.type()) {
-    case ValType::kOid: {
-      const auto* d = static_cast<const Oid*>(t.RawData());
-      for (size_t i = begin; i < end; ++i) {
-        s += static_cast<Acc>(static_cast<int64_t>(d[i]));
-      }
-      break;
-    }
-    case ValType::kInt:
-    case ValType::kDate: {
-      const auto* d = static_cast<const int32_t*>(t.RawData());
-      for (size_t i = begin; i < end; ++i) s += static_cast<Acc>(d[i]);
-      break;
-    }
-    case ValType::kLng: {
-      const auto* d = static_cast<const int64_t*>(t.RawData());
-      for (size_t i = begin; i < end; ++i) s += static_cast<Acc>(d[i]);
-      break;
-    }
-    case ValType::kDbl: {
-      const auto* d = static_cast<const double*>(t.RawData());
-      for (size_t i = begin; i < end; ++i) s += static_cast<Acc>(d[i]);
-      break;
-    }
-    case ValType::kStr: DCY_FATAL() << "sum on string column";
-  }
-  return s;
-}
-
-/// Single fused pass over the whole column (dense ranges in closed form).
-/// Large materialized columns sum thread-local morsel partials merged in
-/// morsel order: exact for integer accumulators, deterministic per-policy
-/// association for doubles.
+/// Fused sum of the whole column in the accumulator type Acc, in row order,
+/// without materializing a key vector (dense ranges in closed form).
 template <typename Acc>
 Acc FusedSum(const Column& t) {
   const size_t n = t.size();
@@ -734,26 +651,32 @@ Acc FusedSum(const Column& t) {
     return static_cast<Acc>(seq) * static_cast<Acc>(n) +
            static_cast<Acc>(n) * static_cast<Acc>(n - (n > 0 ? 1 : 0)) / 2;
   }
-  const MorselPlan plan = kernels::PlanMorsels(n);
-  if (!plan.parallel) return FusedSumSpan<Acc>(t, 0, n);
-  return exec::PartitionedReduce<Acc>(
-      plan.morsels, Acc{0},
-      [&](size_t m) {
-        const size_t b = m * plan.grain;
-        return FusedSumSpan<Acc>(t, b, std::min(n, b + plan.grain));
-      },
-      [](Acc& acc, Acc& partial) { acc += partial; }, plan.workers);
-}
-
-/// Grouped aggregates materialize one partial array per morsel; cap the
-/// fan-out so wide group domains cannot blow up memory (beyond the cap the
-/// sequential loop wins anyway — the merge would dominate).
-MorselPlan GroupedAggPlan(size_t rows, size_t num_groups) {
-  MorselPlan plan = kernels::PlanMorsels(rows);
-  if (plan.parallel && plan.morsels * num_groups > (size_t{1} << 22)) {
-    return MorselPlan{};
+  Acc s = 0;
+  switch (t.type()) {
+    case ValType::kOid: {
+      const auto* d = static_cast<const Oid*>(t.RawData());
+      for (size_t i = 0; i < n; ++i) s += static_cast<Acc>(static_cast<int64_t>(d[i]));
+      break;
+    }
+    case ValType::kInt:
+    case ValType::kDate: {
+      const auto* d = static_cast<const int32_t*>(t.RawData());
+      for (size_t i = 0; i < n; ++i) s += static_cast<Acc>(d[i]);
+      break;
+    }
+    case ValType::kLng: {
+      const auto* d = static_cast<const int64_t*>(t.RawData());
+      for (size_t i = 0; i < n; ++i) s += static_cast<Acc>(d[i]);
+      break;
+    }
+    case ValType::kDbl: {
+      const auto* d = static_cast<const double*>(t.RawData());
+      for (size_t i = 0; i < n; ++i) s += static_cast<Acc>(d[i]);
+      break;
+    }
+    case ValType::kStr: DCY_FATAL() << "sum on string column";
   }
-  return plan;
+  return s;
 }
 
 }  // namespace
@@ -832,37 +755,10 @@ Result<BatPtr> SumPerGroup(const BatPtr& values, const BatPtr& gids, size_t num_
   std::vector<double> v;
   kernels::ExtractDoubleKeys(*values->tail(), &v);
   std::vector<double> sums(num_groups, 0.0);
-  const MorselPlan plan = GroupedAggPlan(v.size(), num_groups);
-  if (!plan.parallel) {
-    for (size_t i = 0; i < v.size(); ++i) {
-      const auto gi = static_cast<uint64_t>(g[i]);
-      if (gi >= num_groups) return Status::OutOfRange("group id out of range");
-      sums[gi] += v[i];
-    }
-  } else {
-    // Thread-local partial sums per morsel, merged in morsel order
-    // (deterministic association for a fixed policy).
-    std::atomic<bool> out_of_range{false};
-    sums = exec::PartitionedReduce<std::vector<double>>(
-        plan.morsels, std::move(sums),
-        [&](size_t m) {
-          const size_t b = m * plan.grain, e = std::min(v.size(), b + plan.grain);
-          std::vector<double> part(num_groups, 0.0);
-          for (size_t i = b; i < e; ++i) {
-            const auto gi = static_cast<uint64_t>(g[i]);
-            if (gi >= num_groups) {
-              out_of_range.store(true, std::memory_order_relaxed);
-              break;
-            }
-            part[gi] += v[i];
-          }
-          return part;
-        },
-        [&](std::vector<double>& acc, std::vector<double>& part) {
-          for (size_t gi = 0; gi < num_groups; ++gi) acc[gi] += part[gi];
-        },
-        plan.workers);
-    if (out_of_range.load()) return Status::OutOfRange("group id out of range");
+  for (size_t i = 0; i < v.size(); ++i) {
+    const auto gi = static_cast<uint64_t>(g[i]);
+    if (gi >= num_groups) return Status::OutOfRange("group id out of range");
+    sums[gi] += v[i];
   }
   Bat::Properties p;
   p.hsorted = p.hkey = true;
@@ -876,35 +772,10 @@ Result<BatPtr> CountPerGroup(const BatPtr& gids, size_t num_groups) {
   // GetInt64 semantics: dbl gids truncate.
   const Span<int64_t> g = CastInt64KeySpan(*gids->tail(), &g_scratch);
   std::vector<int64_t> counts(num_groups, 0);
-  const MorselPlan plan = GroupedAggPlan(g.size, num_groups);
-  if (!plan.parallel) {
-    for (size_t i = 0; i < g.size; ++i) {
-      const auto gi = static_cast<uint64_t>(g[i]);
-      if (gi >= num_groups) return Status::OutOfRange("group id out of range");
-      ++counts[gi];
-    }
-  } else {
-    std::atomic<bool> out_of_range{false};
-    counts = exec::PartitionedReduce<std::vector<int64_t>>(
-        plan.morsels, std::move(counts),
-        [&](size_t m) {
-          const size_t b = m * plan.grain, e = std::min(g.size, b + plan.grain);
-          std::vector<int64_t> part(num_groups, 0);
-          for (size_t i = b; i < e; ++i) {
-            const auto gi = static_cast<uint64_t>(g[i]);
-            if (gi >= num_groups) {
-              out_of_range.store(true, std::memory_order_relaxed);
-              break;
-            }
-            ++part[gi];
-          }
-          return part;
-        },
-        [&](std::vector<int64_t>& acc, std::vector<int64_t>& part) {
-          for (size_t gi = 0; gi < num_groups; ++gi) acc[gi] += part[gi];
-        },
-        plan.workers);
-    if (out_of_range.load()) return Status::OutOfRange("group id out of range");
+  for (size_t i = 0; i < g.size; ++i) {
+    const auto gi = static_cast<uint64_t>(g[i]);
+    if (gi >= num_groups) return Status::OutOfRange("group id out of range");
+    ++counts[gi];
   }
   Bat::Properties p;
   p.hsorted = p.hkey = true;
@@ -915,9 +786,7 @@ Result<BatPtr> CountPerGroup(const BatPtr& gids, size_t num_groups) {
 
 namespace {
 
-/// Shared Min/MaxPerGroup body. One sequential pass: per-group extremes are
-/// cheap next to the rest of a grouped plan, and the extreme of extremes
-/// merge would not pay for the per-morsel partial arrays.
+/// Shared Min/MaxPerGroup body: one pass over the rows.
 template <typename T, typename Out, typename Get>
 Result<BatPtr> ExtremePerGroupTyped(const Span<int64_t>& g, size_t num_groups, bool max,
                                     const char* op, ValType out_type, const Get& get) {
@@ -973,15 +842,8 @@ Result<BatPtr> MaxPerGroup(const BatPtr& values, const BatPtr& gids, size_t num_
 
 namespace {
 
-// ---- parallel stable sort ----------------------------------------------------
-//
-// Sort and TopN run on the executor like the other kernels: per-morsel
-// sorts (or bounded heaps) under a *total* order — the key order with ties
-// broken by ascending position, which is exactly the stable sort order —
-// merged back deterministically. Total ordering is what makes the parallel
-// output bit-identical to std::stable_sort and to the scalar reference.
-
-/// Key order `less` extended with the ascending-position tie-break.
+/// Key order `less` extended with the ascending-position tie-break: the
+/// stable order as a total order, which partial_sort (not stable) needs.
 template <typename Less>
 auto WithPositionTieBreak(const Less& less) {
   return [less](uint32_t a, uint32_t b) {
@@ -991,127 +853,25 @@ auto WithPositionTieBreak(const Less& less) {
   };
 }
 
-/// K-way merge of the per-morsel sorted runs of `idx` (run m spans
-/// [m*grain, min(n, (m+1)*grain))) with a loser tree: one comparison per
-/// tree level per emitted position. `total` must be a total order, so the
-/// merge has a unique result — the globally stable order.
-template <typename TotalLess>
-SelVec MergeSortedRuns(const SelVec& idx, size_t grain, const TotalLess& total) {
-  const size_t n = idx.size();
-  const size_t runs = (n + grain - 1) / grain;
-  size_t cap = 1;
-  while (cap < runs) cap <<= 1;
-  const size_t ghost = cap;  // shared "exhausted" leaf padding [runs, cap)
-  std::vector<size_t> cur(cap + 1, 0), end(cap + 1, 0);
-  for (size_t m = 0; m < runs; ++m) {
-    cur[m] = m * grain;
-    end[m] = std::min(n, cur[m] + grain);
-  }
-  // Does run a's head precede run b's? Exhausted runs lose to everything.
-  auto run_wins = [&](size_t a, size_t b) {
-    if (cur[a] == end[a]) return false;
-    if (cur[b] == end[b]) return true;
-    return total(idx[cur[a]], idx[cur[b]]);
-  };
-  // Build the bracket bottom-up: internal node t keeps the loser of its
-  // subtrees, the winner moves up; loser[0] holds the champion.
-  std::vector<size_t> loser(cap, ghost);
-  {
-    std::vector<size_t> winner(2 * cap, ghost);
-    for (size_t m = 0; m < runs; ++m) winner[cap + m] = m;
-    for (size_t t = cap - 1; t >= 1; --t) {
-      const size_t a = winner[2 * t], b = winner[2 * t + 1];
-      const bool b_wins = run_wins(b, a);
-      winner[t] = b_wins ? b : a;
-      loser[t] = b_wins ? a : b;
-    }
-    loser[0] = winner[1];
-  }
-  SelVec out(n);
-  for (size_t o = 0; o < n; ++o) {
-    const size_t w = loser[0];
-    out[o] = idx[cur[w]++];
-    // Replay w's path: the climber meets exactly the opponents it has to.
-    size_t s = w;
-    for (size_t t = (w + cap) >> 1; t >= 1; t >>= 1) {
-      if (run_wins(loser[t], s)) std::swap(s, loser[t]);
-    }
-    loser[0] = s;
-  }
-  return out;
-}
-
-/// Stable argsort of positions [0, n) under the key order `less`: morsel
-/// sorts on the executor + loser-tree merge at or above the policy
-/// threshold, std::stable_sort below. The position tie-break makes the
-/// per-morsel sort order the stable order, so both paths are bit-identical.
+/// Stable argsort of positions [0, n) under the key order `less`.
 template <typename Less>
 SelVec ArgSortStable(size_t n, const Less& less) {
   SelVec idx(n);
   std::iota(idx.begin(), idx.end(), uint32_t{0});
-  const MorselPlan plan = kernels::PlanMorsels(n);
-  if (!plan.parallel) {
-    std::stable_sort(idx.begin(), idx.end(), less);
-    return idx;
-  }
-  const auto total = WithPositionTieBreak(less);
-  kernels::ForEachMorsel(plan, n, [&](size_t, size_t b, size_t e) {
-    std::sort(idx.begin() + static_cast<ptrdiff_t>(b),
-              idx.begin() + static_cast<ptrdiff_t>(e), total);
-  });
-  if (plan.morsels <= 1) return idx;
-  return MergeSortedRuns(idx, plan.grain, total);
+  std::stable_sort(idx.begin(), idx.end(), less);
+  return idx;
 }
 
-/// First k positions of the stable argsort under `less` (the TopN
-/// contract): a sequential partial_sort below the threshold, per-morsel
-/// bounded heaps merged with one final partial_sort above it — identical
-/// output either way, because both orders are the same total order.
+/// First k positions of the stable argsort under `less` (the TopN contract).
 template <typename Less>
 SelVec TopKPositions(size_t n, size_t k, const Less& less) {
-  const auto total = WithPositionTieBreak(less);
-  const MorselPlan plan = kernels::PlanMorsels(n);
-  // k == 0 must take this branch too: the heap path below peeks at
-  // heap.front() once k candidates are held, which never happens at k = 0.
-  if (!plan.parallel || plan.morsels <= 1 || k == 0 || k >= n) {
-    SelVec idx(n);
-    std::iota(idx.begin(), idx.end(), uint32_t{0});
-    const size_t take = std::min(k, n);
-    std::partial_sort(idx.begin(), idx.begin() + static_cast<ptrdiff_t>(take),
-                      idx.end(), total);
-    idx.resize(take);
-    return idx;
-  }
-  // Each morsel keeps its k best in a max-heap (worst at the front); the
-  // union of per-morsel winners is a superset of the global top k.
-  SelVec cands = exec::PartitionedReduce<SelVec>(
-      plan.morsels, SelVec{},
-      [&](size_t m) {
-        const size_t b = m * plan.grain, e = std::min(n, b + plan.grain);
-        SelVec heap;
-        heap.reserve(std::min(k, e - b));
-        for (size_t i = b; i < e; ++i) {
-          const auto pos = static_cast<uint32_t>(i);
-          if (heap.size() < k) {
-            heap.push_back(pos);
-            std::push_heap(heap.begin(), heap.end(), total);
-          } else if (total(pos, heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), total);
-            heap.back() = pos;
-            std::push_heap(heap.begin(), heap.end(), total);
-          }
-        }
-        return heap;
-      },
-      [](SelVec& acc, SelVec& part) {
-        acc.insert(acc.end(), part.begin(), part.end());
-      },
-      plan.workers);
-  const size_t take = std::min(k, cands.size());
-  std::partial_sort(cands.begin(), cands.begin() + static_cast<ptrdiff_t>(take),
-                    cands.end(), total);
-  cands.resize(take);
-  return cands;
+  SelVec idx(n);
+  std::iota(idx.begin(), idx.end(), uint32_t{0});
+  const size_t take = std::min(k, n);
+  std::partial_sort(idx.begin(), idx.begin() + static_cast<ptrdiff_t>(take), idx.end(),
+                    WithPositionTieBreak(less));
+  idx.resize(take);
+  return idx;
 }
 
 /// Stable argsort of the tail on raw keys; ascending CompareRows order.
@@ -1163,8 +923,7 @@ Result<BatPtr> TopN(const BatPtr& b, size_t n, bool descending) {
   const Column& tail = *b->tail();
   SelVec idx;
   // The key order per type; ties always break by ascending position (the
-  // stable order), so sequential, parallel, and scalar-reference TopN agree
-  // on duplicate keys.
+  // stable order), so TopN and the scalar reference agree on duplicate keys.
   if (tail.type() == ValType::kStr) {
     if (tail.kind() == ColumnKind::kDict) {
       // Sorted dictionary: compare codes instead of heap strings.

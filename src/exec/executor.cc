@@ -6,38 +6,14 @@ namespace dcy::exec {
 
 namespace {
 
-// Kernel policy lives in atomics so queries and benches can read it without
-// a lock on every operator call.
-std::atomic<size_t> g_policy_workers{ExecPolicy{}.workers};
-std::atomic<size_t> g_policy_morsel_rows{ExecPolicy{}.morsel_rows};
-std::atomic<size_t> g_policy_min_parallel{ExecPolicy{}.min_parallel_rows};
-std::atomic<size_t> g_policy_join_partitions{ExecPolicy{}.join_partitions};
-
 constexpr size_t kNoIndex = static_cast<size_t>(-1);
 
 // Which executor (and which of its deques) the current thread belongs to;
-// lets Push() keep morsels on the spawning worker's deque.
+// lets Submit() keep a task's follow-up work on the spawning worker's deque.
 thread_local Executor* tls_executor = nullptr;
 thread_local size_t tls_index = kNoIndex;
 
 }  // namespace
-
-ExecPolicy GetExecPolicy() {
-  ExecPolicy p;
-  p.workers = g_policy_workers.load(std::memory_order_relaxed);
-  p.morsel_rows = g_policy_morsel_rows.load(std::memory_order_relaxed);
-  p.min_parallel_rows = g_policy_min_parallel.load(std::memory_order_relaxed);
-  p.join_partitions = g_policy_join_partitions.load(std::memory_order_relaxed);
-  return p;
-}
-
-void SetExecPolicy(const ExecPolicy& policy) {
-  g_policy_workers.store(policy.workers, std::memory_order_relaxed);
-  g_policy_morsel_rows.store(std::max<size_t>(1, policy.morsel_rows),
-                             std::memory_order_relaxed);
-  g_policy_min_parallel.store(policy.min_parallel_rows, std::memory_order_relaxed);
-  g_policy_join_partitions.store(policy.join_partitions, std::memory_order_relaxed);
-}
 
 Executor::Executor(size_t workers) {
   if (workers == 0) {
@@ -81,7 +57,7 @@ Executor& Executor::Default() {
   return *instance;
 }
 
-void Executor::Push(Task task) {
+void Executor::Submit(Task task) {
   // pending_ is incremented before the task becomes visible to consumers
   // (pop decrements only after acquiring a task), so the counter can read
   // transiently high — a spurious wake — but never underflow.
@@ -104,8 +80,6 @@ void Executor::Push(Task task) {
   std::lock_guard<std::mutex> lock(mu_);
   if (sleepers_ > 0) cv_.notify_all();
 }
-
-void Executor::Submit(Task task) { Push(std::move(task)); }
 
 bool Executor::AcquireTask(size_t index, Task* out) {
   if (index != kNoIndex) {
@@ -167,62 +141,6 @@ void Executor::WorkerLoop(size_t index, bool reserve) {
     --sleepers_;
     if (stop_) return;
   }
-}
-
-void Executor::ParallelFor(size_t n, size_t grain,
-                           const std::function<void(size_t, size_t)>& body,
-                           size_t max_workers) {
-  if (n == 0) return;
-  if (grain == 0) grain = 1;
-  const size_t morsels = (n + grain - 1) / grain;
-  const size_t cap = max_workers == 0 ? num_workers_ : max_workers;
-  const size_t participants = std::min(morsels, cap);
-  if (participants <= 1) {
-    body(0, n);
-    return;
-  }
-
-  struct LoopState {
-    std::atomic<size_t> cursor{0};
-    std::atomic<size_t> done{0};
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t morsels = 0;
-    size_t n = 0;
-    size_t grain = 0;
-    // Borrowed from the caller's frame; guarded by the completion wait below
-    // (helpers that start after completion see cursor >= morsels and never
-    // touch it).
-    const std::function<void(size_t, size_t)>* body = nullptr;
-  };
-  auto st = std::make_shared<LoopState>();
-  st->morsels = morsels;
-  st->n = n;
-  st->grain = grain;
-  st->body = &body;
-
-  auto drain = [](const std::shared_ptr<LoopState>& s) {
-    size_t ran = 0;
-    for (;;) {
-      const size_t m = s->cursor.fetch_add(1, std::memory_order_relaxed);
-      if (m >= s->morsels) break;
-      const size_t begin = m * s->grain;
-      (*s->body)(begin, std::min(s->n, begin + s->grain));
-      ++ran;
-    }
-    if (ran > 0 && s->done.fetch_add(ran) + ran == s->morsels) {
-      std::lock_guard<std::mutex> lock(s->mu);  // pairs with the waiter's check
-      s->cv.notify_all();
-    }
-  };
-
-  for (size_t h = 0; h + 1 < participants; ++h) {
-    Submit([st, drain] { drain(st); });
-  }
-  drain(st);  // the caller is a full participant: saturation cannot deadlock
-
-  std::unique_lock<std::mutex> lock(st->mu);
-  st->cv.wait(lock, [&] { return st->done.load() == st->morsels; });
 }
 
 Executor::BlockingScope::BlockingScope(Executor& e) : executor_(e) {

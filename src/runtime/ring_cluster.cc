@@ -90,13 +90,11 @@ void RingCluster::Start() {
   // The compactor is owned by the cluster — CrashNode kills a node's threads
   // without touching it, so a fold in flight for a dying node is abandoned
   // by its commit guard, never by a join.
-  if (options_.compaction.enable) {
-    {
-      std::lock_guard<std::mutex> lock(compact_mu_);
-      compactor_stop_ = false;
-    }
-    compactor_ = std::thread([this] { CompactorLoop(); });
+  {
+    std::lock_guard<std::mutex> lock(compact_mu_);
+    compactor_stop_ = false;
   }
+  compactor_ = std::thread([this] { CompactorLoop(); });
 }
 
 void RingCluster::Stop() {

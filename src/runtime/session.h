@@ -119,13 +119,14 @@ class ResultSet {
 };
 
 /// \brief Wall-clock timings of one query, std::chrono::steady_clock end to
-/// end. pin_blocked_seconds separates ring latency from compute: it is the
-/// sum of time the plan's datacyclotron.pin calls spent blocked waiting for
-/// fragments (concurrent pins sum, so it can exceed exec_seconds).
+/// end. exec_seconds is interpreter wall time, pin waits included.
+/// pin_blocked_seconds is the sum of time the plan's datacyclotron.pin calls
+/// spent blocked waiting for fragments; concurrent pins add up, so it can
+/// exceed exec_seconds, and exec minus pins is not a compute time.
 struct QueryTiming {
   double wall_seconds = 0.0;         ///< Submit() -> terminal state
   double queued_seconds = 0.0;       ///< waiting in the admission queue
-  double exec_seconds = 0.0;         ///< interpreter execution
+  double exec_seconds = 0.0;         ///< interpreter execution, pins included
   double pin_blocked_seconds = 0.0;  ///< summed blocked-pin wait
 };
 

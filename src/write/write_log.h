@@ -48,14 +48,14 @@ namespace dcy::write {
 /// \brief Compactor tunables (RingCluster::Options::compaction; the PR 8
 /// ResilienceOptions pattern).
 struct CompactionOptions {
-  bool enable = true;
   /// A table folds once it has this many pending deltas (commits touching
   /// it), once any of its fragments accumulates 256 KiB of pending delta
   /// bytes, or once its newest pending delta is unchanged between two
   /// compactor scans (the idle drain: without it a short tail would sit
   /// unfolded forever once writers go quiet).
   uint64_t max_delta_count = 64;
-  /// Cadence of the cluster's background compactor thread (one scan each).
+  /// Cadence of the cluster's background compactor thread (one scan each;
+  /// the first scan comes one interval after RingCluster::Start).
   SimTime interval = FromMillis(25);
 };
 

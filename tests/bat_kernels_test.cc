@@ -2,8 +2,8 @@
 // pitted against the retained scalar reference (bat/scalar_reference.h) over
 // randomized inputs covering all ValTypes and degenerate shapes (empty,
 // duplicate-heavy, sorted), asserting bit-identical results. Plus direct
-// kernel unit tests (FlatTable, gather, selection vectors) and round trips
-// through the bulk serializer.
+// kernel unit tests (FlatTable, gather, selection vectors), exact
+// aggregates, and round trips through the bulk serializer.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +16,6 @@
 #include "bat/scalar_reference.h"
 #include "bat/serialize.h"
 #include "common/random.h"
-#include "exec/executor.h"
 
 namespace dcy::bat {
 namespace {
@@ -104,17 +103,9 @@ constexpr ValType kAllTypes[] = {ValType::kOid, ValType::kInt, ValType::kLng,
 constexpr Shape kAllShapes[] = {Shape::kEmpty, Shape::kRandom, Shape::kDupHeavy,
                                 Shape::kSorted};
 
-/// Forces the morsel engine on at toy sizes: a 64-row morsel and a 128-row
-/// fallback threshold, so inputs straddle the parallel cutoff.
-exec::ExecPolicy TinyMorselPolicy(size_t workers) {
-  exec::ExecPolicy p;
-  p.workers = workers;
-  p.morsel_rows = 64;
-  p.min_parallel_rows = 128;
-  return p;
-}
-
-constexpr size_t kParallelWorkerCounts[] = {1, 2, 8};
+/// Row counts of the encoded-column and string-gather sweeps: sizes around
+/// the SIMD kernels' block boundaries, and a larger input.
+constexpr size_t kSweepSizes[] = {90, 127, 128, 129, 1000};
 
 // ---- differential sweeps -----------------------------------------------------
 
@@ -249,33 +240,29 @@ TEST_P(KernelDifferentialTest, FetchJoinMatchesScalar) {
                                        ValType::kDate};
   constexpr FetchShape kFetchShapes[] = {FetchShape::kRandom, FetchShape::kInRange,
                                          FetchShape::kSorted, FetchShape::kDenseTail};
-  for (size_t workers : kParallelWorkerCounts) {
-    exec::ScopedExecPolicy scoped(TinyMorselPolicy(workers));
-    Rng rng(GetParam() * 2246822519ULL + workers);
-    for (Oid s : {Oid{0}, Oid{7}, Oid{1000}}) {
-      for (ValType rt : kAllTypes) {
-        for (bool dict : {false, true}) {
-          if (dict && rt != ValType::kStr) continue;
-          // Sizes straddle the 128-row morsel cutoff, so gathers run per morsel.
-          const size_t rn = rng.UniformU64(1, 400);
-          auto r = DenseHeadedBat(rt, dict, s, rn, &rng);
-          auto empty_r = DenseHeadedBat(rt, dict, s, 0, &rng);
-          for (ValType lt : kIntegerTypes) {
-            for (FetchShape shape : kFetchShapes) {
-              if (shape == FetchShape::kDenseTail && lt != ValType::kOid) continue;
-              const std::string ctx =
-                  "fetch w" + std::to_string(workers) + " s" + std::to_string(s) + " r[" +
-                  (dict ? "dict" : ValTypeName(rt)) + " #" + std::to_string(rn) + "] l[" +
-                  ValTypeName(lt) + " " + FetchShapeName(shape) + "]";
-              auto l = FetchProbe(lt, shape, rng.UniformU64(1, 400), s, rn, &rng);
-              ExpectSameResult(Join(l, r), scalar::Join(l, r), ctx + " join");
-              ExpectSameResult(LeftJoin(l, r), scalar::Join(l, r), ctx + " leftjoin");
-              auto empty_l = FetchProbe(lt, shape, 0, s, rn, &rng);
-              ExpectSameResult(Join(empty_l, r), scalar::Join(empty_l, r),
-                               ctx + " empty l");
-              ExpectSameResult(Join(l, empty_r), scalar::Join(l, empty_r),
-                               ctx + " empty r");
-            }
+  Rng rng(GetParam() * 2246822519ULL + 1);
+  for (Oid s : {Oid{0}, Oid{7}, Oid{1000}}) {
+    for (ValType rt : kAllTypes) {
+      for (bool dict : {false, true}) {
+        if (dict && rt != ValType::kStr) continue;
+        const size_t rn = rng.UniformU64(1, 400);
+        auto r = DenseHeadedBat(rt, dict, s, rn, &rng);
+        auto empty_r = DenseHeadedBat(rt, dict, s, 0, &rng);
+        for (ValType lt : kIntegerTypes) {
+          for (FetchShape shape : kFetchShapes) {
+            if (shape == FetchShape::kDenseTail && lt != ValType::kOid) continue;
+            const std::string ctx =
+                "fetch s" + std::to_string(s) + " r[" +
+                (dict ? "dict" : ValTypeName(rt)) + " #" + std::to_string(rn) + "] l[" +
+                ValTypeName(lt) + " " + FetchShapeName(shape) + "]";
+            auto l = FetchProbe(lt, shape, rng.UniformU64(1, 400), s, rn, &rng);
+            ExpectSameResult(Join(l, r), scalar::Join(l, r), ctx + " join");
+            ExpectSameResult(LeftJoin(l, r), scalar::Join(l, r), ctx + " leftjoin");
+            auto empty_l = FetchProbe(lt, shape, 0, s, rn, &rng);
+            ExpectSameResult(Join(empty_l, r), scalar::Join(empty_l, r),
+                             ctx + " empty l");
+            ExpectSameResult(Join(l, empty_r), scalar::Join(l, empty_r),
+                             ctx + " empty r");
           }
         }
       }
@@ -363,6 +350,18 @@ TEST(FlatTableTest, EmptyKeys) {
   std::vector<int64_t> keys;
   kernels::FlatTable t(keys);
   EXPECT_EQ(t.Find(0), kernels::FlatTable::kNone);
+}
+
+TEST(FlatTableTest, SpanConstructorMatchesVectorConstructor) {
+  const std::vector<int64_t> keys = {7, -3, 7, 1000000007LL, -3};
+  kernels::FlatTable from_vec(keys);
+  kernels::FlatTable from_ptr(keys.data(), keys.size());
+  Span<int64_t> span{keys.data(), keys.size()};
+  kernels::FlatTable from_span(span);
+  for (int64_t k : {int64_t{7}, int64_t{-3}, int64_t{1000000007LL}, int64_t{42}}) {
+    EXPECT_EQ(from_ptr.Find(k), from_vec.Find(k));
+    EXPECT_EQ(from_span.Find(k), from_vec.Find(k));
+  }
 }
 
 TEST(GatherTest, DenseSourceCollapsesContiguousRuns) {
@@ -456,323 +455,157 @@ TEST(OperatorPropsTest, DoubleGidsTruncateLikeGetInt64) {
   EXPECT_EQ((*counts)->tail()->GetInt64(1), 2);
 }
 
-// ---- parallel kernel differential sweeps -------------------------------------
-//
-// Re-runs the operator-vs-scalar differential checks with the morsel engine
-// forced on: policy workers in {1, 2, 8} with a tiny morsel size and
-// fallback threshold so the input sizes straddle the parallel cutoff
-// (below it the sequential kernels must run unchanged; at or above it the
-// stitched parallel output must stay bit-identical). Floating-point sums
-// re-associate per morsel, so those compare to tolerance instead.
+// ---- string gather -----------------------------------------------------------
 
-// Straddles min_parallel_rows = 128 (and morsel boundaries at 64).
-constexpr size_t kStraddleSizes[] = {90, 127, 128, 129, 1000};
+class StringGatherTest : public ::testing::TestWithParam<uint64_t> {};
 
-class ParallelKernelTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ParallelKernelTest, SelectMatchesScalarAcrossWorkerCounts) {
-  for (size_t workers : kParallelWorkerCounts) {
-    exec::ScopedExecPolicy scoped(TinyMorselPolicy(workers));
-    Rng rng(GetParam() * 7919ULL + workers);
-    for (ValType t : kAllTypes) {
-      for (Shape s : kAllShapes) {
-        for (size_t n : kStraddleSizes) {
-          const std::string ctx = std::string("par-select w") + std::to_string(workers) +
-                                  " n" + std::to_string(n) + " " + ValTypeName(t) + " " +
-                                  ShapeName(s);
-          auto b = RandomBat(t, s, n, &rng);
-          Value v = t == ValType::kStr ? Value::MakeStr("s1")
-                                       : (t == ValType::kDbl ? Value::MakeDbl(1.5)
-                                                             : Value::MakeLng(2));
-          ExpectSameResult(Select(b, v), scalar::Select(b, v), ctx);
-          if (t == ValType::kStr) {
-            ExpectSameResult(SelectRange(b, Value::MakeStr("s1"), Value::MakeStr("s7")),
-                             scalar::SelectRange(b, Value::MakeStr("s1"), Value::MakeStr("s7")),
-                             ctx);
-          } else {
-            ExpectSameResult(SelectRange(b, Value::MakeLng(-5), Value::MakeLng(5)),
-                             scalar::SelectRange(b, Value::MakeLng(-5), Value::MakeLng(5)),
-                             ctx);
-            ExpectSameResult(
-                SelectRange(b, Value::MakeDbl(-2.5), Value::MakeLng(3)),
-                scalar::SelectRange(b, Value::MakeDbl(-2.5), Value::MakeLng(3)), ctx);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST_P(ParallelKernelTest, JoinAndMembershipMatchScalarAcrossWorkerCounts) {
-  for (size_t workers : kParallelWorkerCounts) {
-    exec::ScopedExecPolicy scoped(TinyMorselPolicy(workers));
-    Rng rng(GetParam() * 2718281ULL + workers);
-    for (ValType t : kAllTypes) {
-      for (Shape s : kAllShapes) {
-        for (size_t n : kStraddleSizes) {
-          const std::string ctx = std::string("par-join w") + std::to_string(workers) +
-                                  " n" + std::to_string(n) + " " + ValTypeName(t) + " " +
-                                  ShapeName(s);
-          // Hash join: probe side `n` rows straddles the parallel cutoff.
-          auto l = RandomBat(t, s, n, &rng);
-          auto r = Reverse(RandomBat(t, s, 1 + rng.UniformU64(0, 150), &rng));
-          ExpectSameResult(Join(l, r), scalar::Join(l, r), ctx + " hash");
-          // Membership probes (semijoin / kdiff) over the same shapes.
-          auto lh = Reverse(l);
-          auto rh = Reverse(RandomBat(t, s, 1 + rng.UniformU64(0, 150), &rng));
-          ExpectSameResult(SemiJoin(lh, rh), scalar::SemiJoin(lh, rh), ctx + " semijoin");
-          ExpectSameResult(KDiff(lh, rh), scalar::KDiff(lh, rh), ctx + " kdiff");
-        }
-      }
-    }
-  }
-}
-
-TEST_P(ParallelKernelTest, SortAndTopNMatchScalarAcrossWorkerCounts) {
-  for (size_t workers : kParallelWorkerCounts) {
-    exec::ScopedExecPolicy scoped(TinyMorselPolicy(workers));
-    Rng rng(GetParam() * 16807ULL + workers);
-    for (ValType t : kAllTypes) {
-      for (Shape s : kAllShapes) {
-        for (size_t n : kStraddleSizes) {
-          const std::string ctx = std::string("par-sort w") + std::to_string(workers) +
-                                  " n" + std::to_string(n) + " " + ValTypeName(t) + " " +
-                                  ShapeName(s);
-          auto b = RandomBat(t, s, n, &rng);
-          // Morsel sorts + loser-tree merge must reproduce the stable order
-          // exactly, dup-heavy shapes included.
-          ExpectSameResult(Sort(b), scalar::Sort(b), ctx);
-          // TopN k values straddle the morsel size (64) and the total
-          // (k = 0 regression: must not touch the parallel heap path).
-          for (size_t k : {size_t{0}, size_t{1}, size_t{64}, n}) {
-            for (bool desc : {false, true}) {
-              ExpectSameResult(TopN(b, k, desc), scalar::TopN(b, k, desc),
-                               ctx + " k" + std::to_string(k) + (desc ? " desc" : ""));
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST_P(ParallelKernelTest, PartitionedBuildMatchesScalarAcrossWorkerCounts) {
-  // The radix-partitioned hash build engages when the BUILD side crosses
-  // min_parallel_rows (the probe sweeps above straddle the probe side);
-  // dup-heavy builds exercise the cross-partition duplicate chains.
-  for (size_t workers : kParallelWorkerCounts) {
-    exec::ScopedExecPolicy scoped(TinyMorselPolicy(workers));
-    Rng rng(GetParam() * 1664525ULL + workers);
-    for (ValType t : kAllTypes) {
-      for (Shape s : {Shape::kRandom, Shape::kDupHeavy}) {
-        for (size_t build_n : kStraddleSizes) {
-          const std::string ctx = std::string("par-build w") + std::to_string(workers) +
-                                  " build_n" + std::to_string(build_n) + " " +
-                                  ValTypeName(t) + " " + ShapeName(s);
-          auto l = RandomBat(t, s, 1 + rng.UniformU64(0, 300), &rng);
-          auto r = Reverse(RandomBat(t, s, build_n, &rng));
-          ExpectSameResult(Join(l, r), scalar::Join(l, r), ctx + " join");
-          auto lh = Reverse(RandomBat(t, s, 1 + rng.UniformU64(0, 300), &rng));
-          auto rh = Reverse(RandomBat(t, s, build_n, &rng));
-          ExpectSameResult(SemiJoin(lh, rh), scalar::SemiJoin(lh, rh), ctx + " semijoin");
-          ExpectSameResult(KDiff(lh, rh), scalar::KDiff(lh, rh), ctx + " kdiff");
-        }
-      }
-    }
-  }
-}
-
-TEST_P(ParallelKernelTest, StringGatherTwoPassMatchesSequential) {
+TEST_P(StringGatherTest, PresizedBuildMatchesRowByRowGetString) {
   Rng rng(GetParam() * 22695477ULL + 3);
   // Strings of varying length (empties included) gathered with repeats and
-  // back-references; sizes straddle the parallel cutoff.
+  // back-references.
   std::vector<std::string> pool;
   for (int i = 0; i < 40; ++i) {
     pool.push_back(std::string(static_cast<size_t>(rng.UniformInt(0, 12)),
                                static_cast<char>('a' + (i % 26))));
   }
-  for (size_t n : kStraddleSizes) {
+  pool[0].clear();
+  for (size_t n : kSweepSizes) {
     std::vector<std::string> src_rows;
     for (size_t i = 0; i < n; ++i) {
       src_rows.push_back(pool[static_cast<size_t>(rng.UniformInt(0, 39))]);
     }
+    src_rows[0].clear();
     auto src = MakeStrColumn(src_rows);
     SelVec idx(n);
     for (auto& x : idx) x = static_cast<uint32_t>(rng.UniformU64(0, n - 1));
-    // Oracle: the order-carrying sequential heap append.
-    ColumnBuilder seq(ValType::kStr);
-    seq.AppendGather(*src, idx.data(), idx.size());
-    auto want = seq.Finish();
-    for (size_t workers : kParallelWorkerCounts) {
-      exec::ScopedExecPolicy scoped(TinyMorselPolicy(workers));
-      auto got = kernels::Gather(*src, idx.data(), idx.size());
-      const std::string ctx =
-          "str-gather w" + std::to_string(workers) + " n" + std::to_string(n);
-      ASSERT_EQ(got->size(), want->size()) << ctx;
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got->GetString(i), want->GetString(i)) << ctx << " row " << i;
-      }
-      // Bit-identical heaps, not just equal views.
-      const auto& gs = static_cast<const StrColumn&>(*got);
-      const auto& ws = static_cast<const StrColumn&>(*want);
-      EXPECT_EQ(gs.heap(), ws.heap()) << ctx;
-      EXPECT_EQ(gs.offsets(), ws.offsets()) << ctx;
+    idx[0] = 0;  // at least one empty string in the output
+    auto got = kernels::Gather(*src, idx.data(), idx.size());
+    const std::string ctx = "str-gather n" + std::to_string(n);
+    ASSERT_EQ(got->size(), n) << ctx;
+    std::string heap;
+    std::vector<uint32_t> offsets = {0};
+    for (size_t i = 0; i < n; ++i) {
+      const std::string_view want = src->GetString(idx[i]);
+      ASSERT_EQ(got->GetString(i), want) << ctx << " row " << i;
+      heap.append(want);
+      offsets.push_back(static_cast<uint32_t>(heap.size()));
     }
+    // The heap is exactly the rows back to back, with no slack.
+    const auto& gs = static_cast<const StrColumn&>(*got);
+    EXPECT_EQ(gs.heap(), heap) << ctx;
+    EXPECT_EQ(gs.offsets(), offsets) << ctx;
   }
 }
 
-TEST(ParallelKernelTest, PartitionedTableMatchesFlatTableAndChainsAscend) {
-  exec::ScopedExecPolicy scoped(TinyMorselPolicy(8));
-  Rng rng(99);
-  // Above the 128-row cutoff with a sparse domain: partitioned open
-  // addressing. Duplicate-heavy so chains cross morsel boundaries.
-  std::vector<int64_t> keys(1000);
-  for (auto& k : keys) k = rng.UniformInt(-20, 20) * 1000000007LL;
-  kernels::PartitionedTable pt(keys.data(), keys.size());
-  EXPECT_TRUE(pt.is_partitioned());
-  kernels::FlatTable ft(keys);
-  for (int64_t probe = -25; probe <= 25; ++probe) {
-    const int64_t key = probe * 1000000007LL;
-    std::vector<uint32_t> want, got;
-    for (uint32_t r = ft.Find(key); r != kernels::FlatTable::kNone; r = ft.Next(r)) {
-      want.push_back(r);
-    }
-    for (uint32_t r = pt.Find(key); r != kernels::PartitionedTable::kNone;
-         r = pt.Next(r)) {
-      got.push_back(r);
-    }
-    EXPECT_EQ(got, want) << "key " << key;
-    for (size_t i = 1; i < got.size(); ++i) EXPECT_LT(got[i - 1], got[i]);
-    EXPECT_EQ(pt.Contains(key), ft.Contains(key));
+INSTANTIATE_TEST_SUITE_P(Seeds, StringGatherTest, ::testing::Values(1, 2, 3, 5));
+
+// ---- exact aggregates --------------------------------------------------------
+
+TEST(AggregateTest, SumsAddInRowOrderBitForBit) {
+  // 200,000 rows: large enough that splitting the sum into partials would
+  // round differently from one row-order pass.
+  constexpr size_t kRows = 200000;
+  constexpr size_t kGroups = 7;
+  Rng rng(20260);
+  std::vector<double> values(kRows);
+  std::vector<int32_t> gid_rows(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    values[i] = rng.UniformDouble(-1e6, 1e6) * std::pow(10.0, rng.UniformInt(-6, 6));
+    gid_rows[i] = static_cast<int32_t>(rng.UniformInt(0, kGroups - 1));
   }
+  double total = 0.0;
+  std::vector<double> sums(kGroups, 0.0);
+  std::vector<int64_t> counts(kGroups, 0);
+  for (size_t i = 0; i < kRows; ++i) {
+    total += values[i];
+    sums[static_cast<size_t>(gid_rows[i])] += values[i];
+    ++counts[static_cast<size_t>(gid_rows[i])];
+  }
+  auto b = Bat::MakeColumn(MakeDblColumn(values));
+  auto gids = Bat::MakeColumn(MakeIntColumn(gid_rows));
+
+  auto sum = Sum(b);
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(sum->AsDouble(), total);
+  auto avg = Avg(b);
+  ASSERT_TRUE(avg.ok()) << avg.status().ToString();
+  EXPECT_EQ(avg->AsDouble(), total / static_cast<double>(kRows));
+  auto per_group = SumPerGroup(b, gids, kGroups);
+  ASSERT_TRUE(per_group.ok()) << per_group.status().ToString();
+  auto count = CountPerGroup(gids, kGroups);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  for (size_t g = 0; g < kGroups; ++g) {
+    EXPECT_EQ((*per_group)->tail()->GetDouble(g), sums[g]) << "group " << g;
+    EXPECT_EQ((*count)->tail()->GetInt64(g), counts[g]) << "group " << g;
+  }
+
+  gid_rows[150000] = static_cast<int32_t>(kGroups);  // one gid out of range
+  auto bad = Bat::MakeColumn(MakeIntColumn(std::move(gid_rows)));
+  EXPECT_EQ(SumPerGroup(b, bad, kGroups).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(CountPerGroup(bad, kGroups).status().code(), StatusCode::kOutOfRange);
 }
 
-TEST(ParallelKernelTest, PartitionedTableFallsBackToSingleBelowThreshold) {
-  exec::ScopedExecPolicy scoped(TinyMorselPolicy(8));
-  std::vector<int64_t> keys = {5, 3, 5, 9};  // below min_parallel_rows = 128
-  kernels::PartitionedTable t(keys.data(), keys.size());
-  EXPECT_FALSE(t.is_partitioned());
-  EXPECT_EQ(t.partitions(), 1u);
-  std::vector<uint32_t> rows;
-  for (uint32_t r = t.Find(5); r != kernels::PartitionedTable::kNone; r = t.Next(r)) {
-    rows.push_back(r);
-  }
-  EXPECT_EQ(rows, (std::vector<uint32_t>{0, 2}));
-  EXPECT_FALSE(t.Contains(4));
-}
-
-TEST(ParallelKernelTest, ParallelOperatorsSpawnNoThreads) {
-  // Same contract runtime_test asserts for whole plans: steady-state kernel
-  // traffic executes on the shared pool — zero threads created per call.
-  exec::Executor::Default().workers();  // force pool construction
-  exec::ScopedExecPolicy scoped(TinyMorselPolicy(8));
-  Rng rng(7);
-  auto b = RandomBat(ValType::kLng, Shape::kDupHeavy, 1000, &rng);
-  auto strs = RandomBat(ValType::kStr, Shape::kRandom, 1000, &rng);
-  auto build = Reverse(RandomBat(ValType::kLng, Shape::kDupHeavy, 1000, &rng));
-  const auto before = exec::Executor::Default().metrics();
-  ASSERT_TRUE(Sort(b).ok());
-  ASSERT_TRUE(TopN(b, 10, true).ok());
-  ASSERT_TRUE(Join(b, build).ok());
-  ASSERT_TRUE(Sort(strs).ok());
-  const auto after = exec::Executor::Default().metrics();
-  EXPECT_EQ(after.threads_created, before.threads_created);
-  // (No assertion on tasks_executed: ParallelFor's caller participates, so
-  // on a small pool it may drain every morsel before a helper task runs —
-  // the helpers can still be queued when the operator returns.)
-}
-
-TEST(FlatTableTest, SpanConstructorMatchesVectorConstructor) {
-  const std::vector<int64_t> keys = {7, -3, 7, 1000000007LL, -3};
-  kernels::FlatTable from_vec(keys);
-  kernels::FlatTable from_ptr(keys.data(), keys.size());
-  Span<int64_t> span{keys.data(), keys.size()};
-  kernels::FlatTable from_span(span);
-  for (int64_t k : {int64_t{7}, int64_t{-3}, int64_t{1000000007LL}, int64_t{42}}) {
-    EXPECT_EQ(from_ptr.Find(k), from_vec.Find(k));
-    EXPECT_EQ(from_span.Find(k), from_vec.Find(k));
-  }
-  kernels::FlatTable empty;
-  EXPECT_EQ(empty.Find(0), kernels::FlatTable::kNone);
-  EXPECT_FALSE(empty.Contains(7));
-}
+// The ParallelKernelTest names date from when each aggregate had a per-worker
+// path. Every kernel now has one path, so each worker-count loop is one pass,
+// checked against a row-order loop over the boxed values.
+class ParallelKernelTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParallelKernelTest, AggregatesMatchSequentialAcrossWorkerCounts) {
   Rng rng(GetParam() * 6700417ULL + 5);
   for (ValType t : {ValType::kInt, ValType::kLng, ValType::kOid, ValType::kDbl}) {
-    for (size_t n : kStraddleSizes) {
+    for (size_t n : kSweepSizes) {
       auto b = RandomBat(t, Shape::kRandom, n, &rng);
       constexpr size_t kGroups = 17;
       std::vector<int32_t> gid_rows(b->size());
       for (auto& g : gid_rows) {
         g = static_cast<int32_t>(rng.UniformInt(0, kGroups - 1));
       }
+      int64_t total = 0;
+      double total_dbl = 0.0;
+      std::vector<double> sums(kGroups, 0.0);
+      std::vector<int64_t> counts(kGroups, 0);
+      for (size_t i = 0; i < n; ++i) {
+        const auto g = static_cast<size_t>(gid_rows[i]);
+        total += b->tail()->GetInt64(i);
+        total_dbl += b->tail()->GetDouble(i);
+        sums[g] += b->tail()->GetDouble(i);
+        ++counts[g];
+      }
       auto gids = Bat::MakeColumn(MakeIntColumn(std::move(gid_rows)));
+      const std::string ctx =
+          std::string("agg n") + std::to_string(n) + " " + ValTypeName(t);
 
-      // Oracle: the sequential path (workers = 1 forces it).
-      exec::ScopedExecPolicy seq(TinyMorselPolicy(1));
-      const auto sum_seq = Sum(b);
-      const auto avg_seq = Avg(b);
-      const auto per_group_seq = SumPerGroup(b, gids, kGroups);
-      const auto counts_seq = CountPerGroup(gids, kGroups);
-
-      for (size_t workers : {size_t{2}, size_t{8}}) {
-        exec::ScopedExecPolicy par(TinyMorselPolicy(workers));
-        const std::string ctx = std::string("par-agg w") + std::to_string(workers) +
-                                " n" + std::to_string(n) + " " + ValTypeName(t);
-        const auto sum_par = Sum(b);
-        ASSERT_EQ(sum_par.ok(), sum_seq.ok()) << ctx;
-        if (sum_seq.ok()) {
-          if (t == ValType::kDbl) {
-            // Morsel partials re-associate the FP sum; tolerance, not bits.
-            EXPECT_NEAR(sum_par->AsDouble(), sum_seq->AsDouble(),
-                        1e-9 * (1.0 + std::abs(sum_seq->AsDouble())))
-                << ctx;
-          } else {
-            EXPECT_EQ(sum_par->AsInt64(), sum_seq->AsInt64()) << ctx;  // exact
-          }
-        }
-        const auto avg_par = Avg(b);
-        ASSERT_EQ(avg_par.ok(), avg_seq.ok()) << ctx;
-        if (avg_seq.ok()) {
-          EXPECT_NEAR(avg_par->AsDouble(), avg_seq->AsDouble(),
-                      1e-9 * (1.0 + std::abs(avg_seq->AsDouble())))
-              << ctx;
-        }
-        const auto per_group_par = SumPerGroup(b, gids, kGroups);
-        ASSERT_EQ(per_group_par.ok(), per_group_seq.ok()) << ctx;
-        if (per_group_seq.ok()) {
-          ASSERT_EQ((*per_group_par)->size(), (*per_group_seq)->size()) << ctx;
-          for (size_t g = 0; g < kGroups; ++g) {
-            const double want = (*per_group_seq)->tail()->GetDouble(g);
-            EXPECT_NEAR((*per_group_par)->tail()->GetDouble(g), want,
-                        1e-9 * (1.0 + std::abs(want)))
-                << ctx << " group " << g;
-          }
-        }
-        const auto counts_par = CountPerGroup(gids, kGroups);
-        ASSERT_TRUE(counts_par.ok() && counts_seq.ok()) << ctx;
-        ExpectSameBat(*counts_par, *counts_seq, ctx + " counts");
+      const auto sum = Sum(b);
+      ASSERT_TRUE(sum.ok()) << ctx << ": " << sum.status().ToString();
+      if (t == ValType::kDbl) {
+        EXPECT_EQ(sum->AsDouble(), total_dbl) << ctx;
+      } else {
+        EXPECT_EQ(sum->AsInt64(), total) << ctx;
+      }
+      const auto avg = Avg(b);
+      ASSERT_TRUE(avg.ok()) << ctx << ": " << avg.status().ToString();
+      EXPECT_EQ(avg->AsDouble(), total_dbl / static_cast<double>(n)) << ctx;
+      const auto per_group = SumPerGroup(b, gids, kGroups);
+      ASSERT_TRUE(per_group.ok()) << ctx << ": " << per_group.status().ToString();
+      ASSERT_EQ((*per_group)->size(), kGroups) << ctx;
+      const auto count = CountPerGroup(gids, kGroups);
+      ASSERT_TRUE(count.ok()) << ctx << ": " << count.status().ToString();
+      ASSERT_EQ((*count)->size(), kGroups) << ctx;
+      for (size_t g = 0; g < kGroups; ++g) {
+        EXPECT_EQ((*per_group)->tail()->GetDouble(g), sums[g]) << ctx << " group " << g;
+        EXPECT_EQ((*count)->tail()->GetInt64(g), counts[g]) << ctx << " group " << g;
       }
     }
   }
 }
 
 TEST(ParallelKernelTest, GroupedAggregateRejectsOutOfRangeGidsInParallel) {
-  exec::ScopedExecPolicy scoped(TinyMorselPolicy(8));
   std::vector<int32_t> gids_rows(1000, 0);
-  gids_rows[700] = 99;  // out of range, discovered mid-morsel
+  gids_rows[700] = 99;  // out of range, discovered mid-column
   auto values = Bat::MakeColumn(MakeIntColumn(std::vector<int32_t>(1000, 1)));
   auto gids = Bat::MakeColumn(MakeIntColumn(std::move(gids_rows)));
   EXPECT_EQ(SumPerGroup(values, gids, 4).status().code(), StatusCode::kOutOfRange);
   EXPECT_EQ(CountPerGroup(gids, 4).status().code(), StatusCode::kOutOfRange);
-}
-
-TEST(ParallelKernelTest, StitchSelVecsPreservesOrderAndAppends) {
-  SelVec sel = {7};
-  std::vector<SelVec> parts = {{1, 2}, {}, {3}, {4, 5, 6}};
-  EXPECT_EQ(kernels::StitchSelVecs(parts, &sel), 6u);
-  EXPECT_EQ(sel, (SelVec{7, 1, 2, 3, 4, 5, 6}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelKernelTest, ::testing::Values(1, 2, 3, 5));
@@ -845,8 +678,8 @@ TEST(BulkSerializeTest, CorruptionStillDetected) {
 // dictionary columns (operators run on the codes), sorted integers decode
 // from FOR with sortedness pre-seeded. Every operator that grew an encoded
 // fast path is re-run here against the scalar reference evaluated on the
-// plain twin of the same data — across worker counts and with the SIMD
-// dispatch forced off, so the scalar fallbacks get the same sweep.
+// plain twin of the same data — also with the SIMD dispatch forced off, so
+// the scalar fallbacks get the same sweep.
 
 /// Round trips `b` through the v2 wire format and returns the decoded BAT
 /// (dictionary/FOR columns materialize as their encoded in-memory forms).
@@ -860,81 +693,74 @@ BatPtr EncodeViaWire(const BatPtr& b) {
 class EncodedColumnTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EncodedColumnTest, DictSelectSortTopNMatchScalar) {
-  for (size_t workers : kParallelWorkerCounts) {
-    exec::ScopedExecPolicy scoped(TinyMorselPolicy(workers));
-    for (bool force_scalar : {false, true}) {
-      enc::ScopedForceScalar forced(force_scalar);
-      Rng rng(GetParam() * 48271ULL + workers * 2 + force_scalar);
-      for (size_t n : kStraddleSizes) {
-        const std::string ctx = std::string("dict w") + std::to_string(workers) +
-                                (force_scalar ? " scalar" : " simd") + " n" +
-                                std::to_string(n);
-        auto plain = RandomBat(ValType::kStr, Shape::kDupHeavy, n, &rng);
-        auto encoded = EncodeViaWire(plain);
-        // Dup-heavy strings (5 distinct values) always clear the dict bar.
-        ASSERT_EQ(encoded->tail()->kind(), ColumnKind::kDict) << ctx;
-        for (const char* probe : {"s2", "zzz"}) {
-          ExpectSameResult(Select(encoded, Value::MakeStr(probe)),
-                           scalar::Select(plain, Value::MakeStr(probe)),
-                           ctx + " eq " + probe);
-        }
-        // In-dict, straddling, and inverted (empty) code ranges.
-        ExpectSameResult(SelectRange(encoded, Value::MakeStr("s1"), Value::MakeStr("s3")),
-                         scalar::SelectRange(plain, Value::MakeStr("s1"), Value::MakeStr("s3")),
-                         ctx + " range");
-        ExpectSameResult(SelectRange(encoded, Value::MakeStr("a"), Value::MakeStr("s2")),
-                         scalar::SelectRange(plain, Value::MakeStr("a"), Value::MakeStr("s2")),
-                         ctx + " range-straddle");
-        ExpectSameResult(SelectRange(encoded, Value::MakeStr("s3"), Value::MakeStr("s1")),
-                         scalar::SelectRange(plain, Value::MakeStr("s3"), Value::MakeStr("s1")),
-                         ctx + " range-inverted");
-        // Order-by on codes (sorted dict: code order == lexicographic order).
-        ExpectSameResult(Sort(encoded), scalar::Sort(plain), ctx + " sort");
-        for (bool desc : {false, true}) {
-          ExpectSameResult(TopN(encoded, std::min(n, size_t{64}), desc),
-                           scalar::TopN(plain, std::min(n, size_t{64}), desc),
-                           ctx + (desc ? " topn-desc" : " topn"));
-        }
-        // GroupId has no scalar oracle; the plain-column operator is one.
-        ExpectSameResult(GroupId(encoded), GroupId(plain), ctx + " groupid");
+  for (bool force_scalar : {false, true}) {
+    enc::ScopedForceScalar forced(force_scalar);
+    Rng rng(GetParam() * 48271ULL + 2 + force_scalar);
+    for (size_t n : kSweepSizes) {
+      const std::string ctx = std::string("dict") + (force_scalar ? " scalar" : " simd") +
+                              " n" + std::to_string(n);
+      auto plain = RandomBat(ValType::kStr, Shape::kDupHeavy, n, &rng);
+      auto encoded = EncodeViaWire(plain);
+      // Dup-heavy strings (5 distinct values) always clear the dict bar.
+      ASSERT_EQ(encoded->tail()->kind(), ColumnKind::kDict) << ctx;
+      for (const char* probe : {"s2", "zzz"}) {
+        ExpectSameResult(Select(encoded, Value::MakeStr(probe)),
+                         scalar::Select(plain, Value::MakeStr(probe)),
+                         ctx + " eq " + probe);
       }
+      // In-dict, straddling, and inverted (empty) code ranges.
+      ExpectSameResult(SelectRange(encoded, Value::MakeStr("s1"), Value::MakeStr("s3")),
+                       scalar::SelectRange(plain, Value::MakeStr("s1"), Value::MakeStr("s3")),
+                       ctx + " range");
+      ExpectSameResult(SelectRange(encoded, Value::MakeStr("a"), Value::MakeStr("s2")),
+                       scalar::SelectRange(plain, Value::MakeStr("a"), Value::MakeStr("s2")),
+                       ctx + " range-straddle");
+      ExpectSameResult(SelectRange(encoded, Value::MakeStr("s3"), Value::MakeStr("s1")),
+                       scalar::SelectRange(plain, Value::MakeStr("s3"), Value::MakeStr("s1")),
+                       ctx + " range-inverted");
+      // Order-by on codes (sorted dict: code order == lexicographic order).
+      ExpectSameResult(Sort(encoded), scalar::Sort(plain), ctx + " sort");
+      for (bool desc : {false, true}) {
+        ExpectSameResult(TopN(encoded, std::min(n, size_t{64}), desc),
+                         scalar::TopN(plain, std::min(n, size_t{64}), desc),
+                         ctx + (desc ? " topn-desc" : " topn"));
+      }
+      // GroupId has no scalar oracle; the plain-column operator is one.
+      ExpectSameResult(GroupId(encoded), GroupId(plain), ctx + " groupid");
     }
   }
 }
 
 TEST_P(EncodedColumnTest, DictJoinsMatchScalar) {
-  for (size_t workers : kParallelWorkerCounts) {
-    exec::ScopedExecPolicy scoped(TinyMorselPolicy(workers));
-    for (bool force_scalar : {false, true}) {
-      enc::ScopedForceScalar forced(force_scalar);
-      Rng rng(GetParam() * 69621ULL + workers * 2 + force_scalar);
-      for (size_t n : kStraddleSizes) {
-        const std::string ctx = std::string("dict-join w") + std::to_string(workers) +
-                                (force_scalar ? " scalar" : " simd") + " n" +
-                                std::to_string(n);
-        auto plain = RandomBat(ValType::kStr, Shape::kDupHeavy, n, &rng);
-        auto other = RandomBat(ValType::kStr, Shape::kDupHeavy,
-                               1 + rng.UniformU64(0, 150), &rng);
-        auto encoded = EncodeViaWire(plain);
-        auto other_enc = EncodeViaWire(other);
-        // Same dictionary on both sides: probe codes map 1:1, no lookups.
-        ExpectSameResult(Join(encoded, Reverse(encoded)),
-                         scalar::Join(plain, Reverse(plain)), ctx + " same-dict");
-        // Distinct dictionaries: probe values resolve via binary search.
-        ExpectSameResult(Join(encoded, Reverse(other_enc)),
-                         scalar::Join(plain, Reverse(other)), ctx + " cross-dict");
-        // Mixed: plain probe against a dictionary build side, and vice versa.
-        ExpectSameResult(Join(plain, Reverse(other_enc)),
-                         scalar::Join(plain, Reverse(other)), ctx + " plain-probe");
-        ExpectSameResult(Join(encoded, Reverse(other)),
-                         scalar::Join(plain, Reverse(other)), ctx + " plain-build");
-        // Membership kernels ride the virtual string accessor.
-        ExpectSameResult(SemiJoin(Reverse(encoded), Reverse(other_enc)),
-                         scalar::SemiJoin(Reverse(plain), Reverse(other)),
-                         ctx + " semijoin");
-        ExpectSameResult(KDiff(Reverse(encoded), Reverse(other_enc)),
-                         scalar::KDiff(Reverse(plain), Reverse(other)), ctx + " kdiff");
-      }
+  for (bool force_scalar : {false, true}) {
+    enc::ScopedForceScalar forced(force_scalar);
+    Rng rng(GetParam() * 69621ULL + 2 + force_scalar);
+    for (size_t n : kSweepSizes) {
+      const std::string ctx = std::string("dict-join") +
+                              (force_scalar ? " scalar" : " simd") + " n" +
+                              std::to_string(n);
+      auto plain = RandomBat(ValType::kStr, Shape::kDupHeavy, n, &rng);
+      auto other = RandomBat(ValType::kStr, Shape::kDupHeavy,
+                             1 + rng.UniformU64(0, 150), &rng);
+      auto encoded = EncodeViaWire(plain);
+      auto other_enc = EncodeViaWire(other);
+      // Same dictionary on both sides: probe codes map 1:1, no lookups.
+      ExpectSameResult(Join(encoded, Reverse(encoded)),
+                       scalar::Join(plain, Reverse(plain)), ctx + " same-dict");
+      // Distinct dictionaries: probe values resolve via binary search.
+      ExpectSameResult(Join(encoded, Reverse(other_enc)),
+                       scalar::Join(plain, Reverse(other)), ctx + " cross-dict");
+      // Mixed: plain probe against a dictionary build side, and vice versa.
+      ExpectSameResult(Join(plain, Reverse(other_enc)),
+                       scalar::Join(plain, Reverse(other)), ctx + " plain-probe");
+      ExpectSameResult(Join(encoded, Reverse(other)),
+                       scalar::Join(plain, Reverse(other)), ctx + " plain-build");
+      // Membership kernels ride the virtual string accessor.
+      ExpectSameResult(SemiJoin(Reverse(encoded), Reverse(other_enc)),
+                       scalar::SemiJoin(Reverse(plain), Reverse(other)),
+                       ctx + " semijoin");
+      ExpectSameResult(KDiff(Reverse(encoded), Reverse(other_enc)),
+                       scalar::KDiff(Reverse(plain), Reverse(other)), ctx + " kdiff");
     }
   }
 }
@@ -943,28 +769,24 @@ TEST_P(EncodedColumnTest, ForDecodedColumnsMatchScalar) {
   // Sorted integer tails cross the wire as FOR; they decode to plain fixed
   // columns with sortedness pre-seeded, so the merge paths engage without a
   // rescan and must still agree with the scalar reference.
-  for (size_t workers : kParallelWorkerCounts) {
-    exec::ScopedExecPolicy scoped(TinyMorselPolicy(workers));
-    for (bool force_scalar : {false, true}) {
-      enc::ScopedForceScalar forced(force_scalar);
-      Rng rng(GetParam() * 14142ULL + workers * 2 + force_scalar);
-      for (ValType t : {ValType::kOid, ValType::kInt, ValType::kLng, ValType::kDate}) {
-        for (size_t n : kStraddleSizes) {
-          const std::string ctx = std::string("for w") + std::to_string(workers) +
-                                  (force_scalar ? " scalar" : " simd") + " " +
-                                  ValTypeName(t) + " n" + std::to_string(n);
-          auto plain = RandomBat(t, Shape::kSorted, n, &rng);
-          ASSERT_TRUE(plain->tail()->IsSorted());  // memoize: the FOR trigger
-          auto encoded = EncodeViaWire(plain);
-          EXPECT_TRUE(encoded->tail()->IsSorted()) << ctx;
-          ExpectSameResult(Select(encoded, Value::MakeLng(2)),
-                           scalar::Select(plain, Value::MakeLng(2)), ctx + " eq");
-          ExpectSameResult(SelectRange(encoded, Value::MakeLng(-5), Value::MakeLng(5)),
-                           scalar::SelectRange(plain, Value::MakeLng(-5), Value::MakeLng(5)),
-                           ctx + " range");
-          auto r = Reverse(RandomBat(t, Shape::kRandom, 1 + rng.UniformU64(0, 150), &rng));
-          ExpectSameResult(Join(encoded, r), scalar::Join(plain, r), ctx + " join");
-        }
+  for (bool force_scalar : {false, true}) {
+    enc::ScopedForceScalar forced(force_scalar);
+    Rng rng(GetParam() * 14142ULL + 2 + force_scalar);
+    for (ValType t : {ValType::kOid, ValType::kInt, ValType::kLng, ValType::kDate}) {
+      for (size_t n : kSweepSizes) {
+        const std::string ctx = std::string("for") + (force_scalar ? " scalar" : " simd") +
+                                " " + ValTypeName(t) + " n" + std::to_string(n);
+        auto plain = RandomBat(t, Shape::kSorted, n, &rng);
+        ASSERT_TRUE(plain->tail()->IsSorted());  // memoize: the FOR trigger
+        auto encoded = EncodeViaWire(plain);
+        EXPECT_TRUE(encoded->tail()->IsSorted()) << ctx;
+        ExpectSameResult(Select(encoded, Value::MakeLng(2)),
+                         scalar::Select(plain, Value::MakeLng(2)), ctx + " eq");
+        ExpectSameResult(SelectRange(encoded, Value::MakeLng(-5), Value::MakeLng(5)),
+                         scalar::SelectRange(plain, Value::MakeLng(-5), Value::MakeLng(5)),
+                         ctx + " range");
+        auto r = Reverse(RandomBat(t, Shape::kRandom, 1 + rng.UniformU64(0, 150), &rng));
+        ExpectSameResult(Join(encoded, r), scalar::Join(plain, r), ctx + " join");
       }
     }
   }

@@ -166,7 +166,7 @@ TEST(JsonTest, ParsesScalarsObjectsArrays) {
 }
 
 TEST(JsonTest, RejectsMalformedInput) {
-  for (const char* bad : {"{", "[1,]", "{\"a\" 1}", "tru", "{\"a\": 1} trailing", "\"open"}) {
+  for (auto bad : {"{", "[1,]", "{\"a\" 1}", "tru", "{\"a\": 1} trailing", "\"open"}) {
     bool ok = true;
     JsonValue v = JsonValue::Parse(bad, &ok);
     EXPECT_FALSE(ok) << bad;

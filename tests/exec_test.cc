@@ -1,14 +1,11 @@
-// Tests for the process-wide work-stealing executor: ParallelFor coverage,
-// cross-worker stealing, the blocking-task escape hatch, the exactly-once
-// shutdown contract, and policy plumbing.
+// Tests for the process-wide work-stealing executor: up-front thread
+// creation, cross-worker stealing, the blocking-task escape hatch, and the
+// exactly-once shutdown contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
-#include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -16,65 +13,6 @@
 
 namespace dcy::exec {
 namespace {
-
-TEST(ExecPolicyTest, SetAndGetRoundTrip) {
-  const ExecPolicy saved = GetExecPolicy();
-  ExecPolicy p;
-  p.workers = 7;
-  p.morsel_rows = 1234;
-  p.min_parallel_rows = 999;
-  p.join_partitions = 32;
-  SetExecPolicy(p);
-  const ExecPolicy got = GetExecPolicy();
-  EXPECT_EQ(got.workers, 7u);
-  EXPECT_EQ(got.morsel_rows, 1234u);
-  EXPECT_EQ(got.min_parallel_rows, 999u);
-  EXPECT_EQ(got.join_partitions, 32u);
-  SetExecPolicy(saved);
-}
-
-TEST(PartitionedReduceTest, SumsEveryPartitionExactlyOnce) {
-  for (size_t workers : {size_t{1}, size_t{4}}) {
-    const size_t parts = 37;
-    const int64_t got = PartitionedReduce<int64_t>(
-        parts, int64_t{100},
-        [](size_t p) { return static_cast<int64_t>(p); },
-        [](int64_t& acc, int64_t& partial) { acc += partial; }, workers);
-    EXPECT_EQ(got, 100 + 37 * 36 / 2) << "workers=" << workers;
-  }
-}
-
-TEST(PartitionedReduceTest, FoldsInAscendingPartitionOrder) {
-  // The fold must see partition 0 first however the maps were scheduled —
-  // the property order-carrying merges (chains, morsel stitches) rely on.
-  const size_t parts = 19;
-  std::vector<size_t> order = PartitionedReduce<std::vector<size_t>>(
-      parts, std::vector<size_t>{},
-      [](size_t p) { return std::vector<size_t>{p}; },
-      [](std::vector<size_t>& acc, std::vector<size_t>& partial) {
-        acc.insert(acc.end(), partial.begin(), partial.end());
-      },
-      /*max_workers=*/4);
-  ASSERT_EQ(order.size(), parts);
-  for (size_t p = 0; p < parts; ++p) EXPECT_EQ(order[p], p);
-}
-
-TEST(PartitionedReduceTest, ZeroPartsReturnsInit) {
-  const int got = PartitionedReduce<int>(
-      0, 42, [](size_t) { return 1; }, [](int& acc, int& p) { acc += p; });
-  EXPECT_EQ(got, 42);
-}
-
-TEST(ExecPolicyTest, ScopedOverrideRestores) {
-  const ExecPolicy before = GetExecPolicy();
-  {
-    ExecPolicy p;
-    p.workers = 3;
-    ScopedExecPolicy scoped(p);
-    EXPECT_EQ(GetExecPolicy().workers, 3u);
-  }
-  EXPECT_EQ(GetExecPolicy().workers, before.workers);
-}
 
 TEST(ExecutorTest, ThreadsAreCreatedOnceUpFront) {
   Executor e(3);
@@ -88,60 +26,6 @@ TEST(ExecutorTest, ThreadsAreCreatedOnceUpFront) {
   while (ran.load() < 50) std::this_thread::yield();
   EXPECT_EQ(e.metrics().threads_created, 6u);  // steady state: zero spawns
   EXPECT_GE(e.metrics().tasks_executed, 50u);
-}
-
-TEST(ExecutorTest, ParallelForCoversEveryRowExactlyOnce) {
-  Executor e(4);
-  constexpr size_t kRows = 100000;
-  std::vector<std::atomic<int>> hits(kRows);
-  for (auto& h : hits) h.store(0);
-  e.ParallelFor(kRows, 1024, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (size_t i = 0; i < kRows; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "row " << i;
-  }
-}
-
-TEST(ExecutorTest, ParallelForWorksFromExternalAndNestedContexts) {
-  Executor e(4);
-  // External caller (this thread is not a pool member).
-  std::atomic<int64_t> total{0};
-  e.ParallelFor(1000, 10, [&](size_t b, size_t end) {
-    int64_t s = 0;
-    for (size_t i = b; i < end; ++i) s += static_cast<int64_t>(i);
-    total.fetch_add(s);
-  });
-  EXPECT_EQ(total.load(), 999 * 1000 / 2);
-
-  // Nested: a pool task launches its own ParallelFor.
-  std::promise<int64_t> done;
-  e.Submit([&] {
-    std::atomic<int64_t> inner{0};
-    e.ParallelFor(1000, 10, [&](size_t b, size_t end) {
-      int64_t s = 0;
-      for (size_t i = b; i < end; ++i) s += static_cast<int64_t>(i);
-      inner.fetch_add(s);
-    });
-    done.set_value(inner.load());
-  });
-  EXPECT_EQ(done.get_future().get(), 999 * 1000 / 2);
-}
-
-TEST(ExecutorTest, ParallelForSequentialWhenCappedToOneWorker) {
-  Executor e(4);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::set<std::thread::id> ids;
-  std::mutex mu;
-  e.ParallelFor(
-      10000, 100,
-      [&](size_t, size_t) {
-        std::lock_guard<std::mutex> lock(mu);
-        ids.insert(std::this_thread::get_id());
-      },
-      /*max_workers=*/1);
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(*ids.begin(), caller);  // ran inline, no pool involvement
 }
 
 TEST(ExecutorTest, SiblingsStealFromABusyWorkersDeque) {
@@ -231,18 +115,6 @@ TEST(ExecutorTest, ShutdownRacesWithConcurrentSubmitters) {
     }
     ASSERT_EQ(ran.load(), 150) << "round " << round;
   }
-}
-
-TEST(ExecutorTest, ParallelForZeroAndTinyInputs) {
-  Executor e(2);
-  int calls = 0;
-  e.ParallelFor(0, 16, [&](size_t, size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::atomic<int> rows{0};
-  e.ParallelFor(3, 16, [&](size_t b, size_t end) {
-    rows.fetch_add(static_cast<int>(end - b));
-  });
-  EXPECT_EQ(rows.load(), 3);
 }
 
 TEST(ExecutorTest, DefaultExecutorIsSharedAndAlive) {

@@ -110,7 +110,9 @@ X2 := aggr.sum(X1);
 
 TEST_F(RuntimeRing, HandWrittenPlansSeeCommittedWritesOnEveryNode) {
   auto opts = FastOptions();
-  opts.compaction.enable = false;  // the insert stays a delta over the base
+  // The insert stays a delta over the base: the compactor's first scan is
+  // an hour away.
+  opts.compaction.interval = FromSeconds(3600);
   SetUpCluster(opts);
   auto ins = Run(0, "insert into t (id) values (5)");
   ASSERT_TRUE(ins.ok()) << ins.status().ToString();
@@ -178,25 +180,6 @@ TEST_F(RuntimeRing, SteadyStateQueryTrafficCreatesZeroThreads) {
       << "steady-state queries must not spawn threads";
   EXPECT_GT(after.tasks_executed, warm.tasks_executed)
       << "plans should have executed as shared-pool tasks";
-}
-
-TEST_F(RuntimeRing, StartLeavesTheProcessExecPolicyAlone) {
-  // The kernel policy belongs to the process: starting a ring must keep
-  // whatever the process set, not reset it to the defaults.
-  exec::ExecPolicy custom;
-  custom.workers = 2;
-  custom.morsel_rows = 4096;
-  custom.min_parallel_rows = 8192;
-  exec::ScopedExecPolicy scoped(custom);
-  SetUpCluster(FastOptions());
-  const auto policy = exec::GetExecPolicy();
-  EXPECT_EQ(policy.workers, 2u);
-  EXPECT_EQ(policy.morsel_rows, 4096u);
-  EXPECT_EQ(policy.min_parallel_rows, 8192u);
-  // Queries still work under the custom policy.
-  auto result = Run(0, kTable1Plan);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectTable1Result(*result);
 }
 
 TEST_F(RuntimeRing, MissingFragmentFailsTheQuery) {

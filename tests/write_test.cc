@@ -303,7 +303,9 @@ class WriteRing : public ::testing::Test {
 
 TEST_F(WriteRing, InsertIsVisibleToSubsequentReadsAndCirculates) {
   auto opts = FastOptions();
-  opts.compaction.enable = false;  // keep the merge path exercised
+  // No fold within the test (the compactor's first scan is an hour away):
+  // the merge path stays exercised.
+  opts.compaction.interval = FromSeconds(3600);
   StartCluster(opts);
 
   auto ins = Run("insert into u values (4, 40)");
@@ -330,7 +332,7 @@ TEST_F(WriteRing, InsertIsVisibleToSubsequentReadsAndCirculates) {
 
 TEST_F(WriteRing, DeleteRemovesMatchingRows) {
   auto opts = FastOptions();
-  opts.compaction.enable = false;
+  opts.compaction.interval = FromSeconds(3600);  // deltas stay pending
   StartCluster(opts);
 
   auto del = Run("delete from u where id = 2");
@@ -346,7 +348,7 @@ TEST_F(WriteRing, DeleteRemovesMatchingRows) {
 
 TEST_F(WriteRing, PinnedSnapshotsReplayThePast) {
   auto opts = FastOptions();
-  opts.compaction.enable = false;
+  opts.compaction.interval = FromSeconds(3600);  // deltas stay pending
   StartCluster(opts);
 
   const uint64_t snap = cluster->write_log().AcquireSnapshot();

@@ -4,9 +4,9 @@
 // reads statements from stdin: SQL SELECT/INSERT/DELETE (terminated by ';')
 // or MAL function blocks (`function user.x():void;` ... `end x;`). The language is
 // auto-detected per statement (runtime::Language::kAuto); each result is
-// printed as a typed table with the compute vs ring timing split
-// (exec_seconds vs pin_blocked_seconds). Parse and semantic errors render
-// the structured caret diagnostic.
+// printed as a typed table with its interpreter execution time (pin waits
+// included) and the summed time its pins sat blocked on the ring. Parse and
+// semantic errors render the structured caret diagnostic.
 //
 //   ./dcsql [--scale=0.01] [--nodes=3] [--workers=4] [--max_rows=25] [--budget_mb=0]
 //
@@ -16,7 +16,6 @@
 // `echo "select ...;" | dcsql` works for scripted smoke runs.
 #include <unistd.h>
 
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <iostream>
@@ -66,12 +65,10 @@ void PrintResult(const runtime::QueryResult& r, size_t max_rows) {
   } else {
     std::printf("result: %s\n0 rows", mal::DatumToString(rs.scalar()).c_str());
   }
-  // pin_blocked sums concurrent pin waits, so it can exceed exec time;
-  // clamp the derived compute share at zero.
-  const double compute =
-      std::max(0.0, r.timing.exec_seconds - r.timing.pin_blocked_seconds);
-  std::printf("  --  %.2f ms compute, %.2f ms ring-blocked\n", 1e3 * compute,
-              1e3 * r.timing.pin_blocked_seconds);
+  // Concurrent pins add up, so the summed pin wait can exceed the
+  // execution time; neither is a compute share.
+  std::printf("  --  %.2f ms exec (pins included), %.2f ms pins blocked (summed)\n",
+              1e3 * r.timing.exec_seconds, 1e3 * r.timing.pin_blocked_seconds);
 }
 
 /// Runs one statement; false when it failed (parse, compile, or execution),
