@@ -5,7 +5,7 @@
 // retained row-at-a-time implementations in bat/scalar_reference.h are the
 // differential-test oracle. Every kernel is one sequential loop on the
 // calling thread: a plan's instructions run side by side as dataflow tasks
-// on the shared exec::Executor, not split across helper threads.
+// on the shared exec::Executor task pool, not split across helper threads.
 #pragma once
 
 #include <cstdint>

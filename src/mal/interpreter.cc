@@ -114,12 +114,6 @@ std::vector<std::vector<size_t>> BuildDependencies(const Program& program) {
   return deps;
 }
 
-Result<Datum> Interpreter::RunDataflow(const Program& program, size_t workers) {
-  ExecOptions options;
-  options.workers = workers;
-  return Execute(program, options);
-}
-
 Result<Datum> Interpreter::RunParallel(const Program& program,
                                        const ExecOptions& options) {
   vars_.clear();
@@ -193,15 +187,9 @@ Result<Datum> Interpreter::RunParallel(const Program& program,
         }
       }
       lock.unlock();
-      Result<Datum> result = [&] {
-        if (program.instructions[i].FullName() == "datacyclotron.pin") {
-          // May stall until the fragment's next ring pass; announce it so
-          // reserve workers backfill the blocked capacity.
-          exec::Executor::BlockingScope blocking(executor);
-          return ExecInstruction(program.instructions[i], &local_args);
-        }
-        return ExecInstruction(program.instructions[i], &local_args);
-      }();
+      // A datacyclotron.pin may stall here until its fragment's next ring
+      // pass; it holds only the thread that runs it.
+      Result<Datum> result = ExecInstruction(program.instructions[i], &local_args);
       lock.lock();
       if (!result.ok()) {
         if (!flow.failed) {

@@ -1,8 +1,8 @@
 // MAL plan execution: a builtin registry (sql.*, algebra.*, bat.*, aggr.*,
 // group.*, batcalc.*, io.*, datacyclotron.*), a sequential interpreter, and
-// a dataflow interpreter that runs independent instructions on a worker
-// pool ("The MAL plan is executed using concurrent interpreter threads
-// following the dataflow dependencies", paper §4.1).
+// a dataflow interpreter that runs independent instructions as tasks on the
+// process-wide exec::Executor ("The MAL plan is executed using concurrent
+// interpreter threads following the dataflow dependencies", paper §4.1).
 #pragma once
 
 #include <atomic>
@@ -165,19 +165,16 @@ class Interpreter {
   /// Runs instructions in order (Execute with default options).
   Result<Datum> Run(const Program& program);
 
-  /// Runs with dataflow parallelism: up to `workers` instructions execute
-  /// concurrently as tasks on the process-wide exec::Executor (the calling
-  /// thread participates; no threads are created per query). Blocking pin()
-  /// calls occupy only their task slot — the executor backfills the blocked
-  /// capacity from its reserve pool. Falls back to sequential for
-  /// workers <= 1.
-  Result<Datum> RunDataflow(const Program& program, size_t workers);
-
   /// Variable bindings after the last Run (for tests/inspection).
   const std::unordered_map<std::string, Datum>& variables() const { return vars_; }
 
  private:
   Result<Datum> RunSequential(const Program& program, const ExecOptions& options);
+  /// Dataflow parallelism: up to `options.workers` instructions execute at
+  /// once, the calling thread plus helper tasks on the process-wide
+  /// exec::Executor (no threads are created per query). A blocking pin()
+  /// holds only the thread that runs it; the calling thread keeps pumping
+  /// the plan's ready instructions.
   Result<Datum> RunParallel(const Program& program, const ExecOptions& options);
   Result<Datum> ExecInstruction(const Instruction& ins,
                                 std::unordered_map<std::string, Datum>* vars);

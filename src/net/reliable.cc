@@ -4,6 +4,18 @@
 
 namespace dcy::net {
 
+void ReliableMetrics::Add(const ReliableMetrics& other) {
+  retransmits += other.retransmits;
+  frames_abandoned += other.frames_abandoned;
+  link_resets += other.link_resets;
+  frames_corrupted += other.frames_corrupted;
+  frames_duplicate += other.frames_duplicate;
+  frames_gap += other.frames_gap;
+  frames_stale += other.frames_stale;
+  frames_invalid += other.frames_invalid;
+  nacks_sent += other.nacks_sent;
+}
+
 void ReliableSender::Track(uint32_t opcode, const rdma::MetaBlob& meta,
                            rdma::Buffer payload, uint64_t seq, SimTime now) {
   if (unacked_.size() >= opts_.max_unacked) {

@@ -157,6 +157,9 @@ struct ReliableMetrics {
   uint64_t frames_stale = 0;       ///< frames from a superseded epoch
   uint64_t frames_invalid = 0;     ///< bad magic / nonsense sender
   uint64_t nacks_sent = 0;
+
+  /// Adds every counter of `other` into this one.
+  void Add(const ReliableMetrics& other);
 };
 
 /// \brief Sending half of one directed link. Single-threaded: owned by the

@@ -277,8 +277,7 @@ Result<QueryResult> RunQuery(RingNode* node, const PreparedQuery& plan,
   ctx.exported = &exported;
 
   mal::ExecOptions eopts;
-  eopts.workers = options.plan_workers > 0 ? options.plan_workers
-                                            : node->cluster()->options().plan_workers;
+  eopts.workers = node->cluster()->options().plan_workers;
   eopts.cancel = &state->cancel;
   eopts.params = options.params.empty() ? nullptr : &options.params;
 

@@ -184,22 +184,14 @@ class RingCluster {
   /// True while at least one node is crashed (admission sheds load early).
   bool degraded() const { return dead_count_.load(std::memory_order_relaxed) > 0; }
 
-  /// \brief Aggregated fault-tolerance counters across all nodes.
-  struct ResilienceMetrics {
-    // Hop-level reliability (summed over every directed link).
-    uint64_t retransmits = 0;
-    uint64_t frames_abandoned = 0;
-    uint64_t link_resets = 0;
-    uint64_t frames_corrupted = 0;   ///< CRC mismatches caught at receivers
+  /// \brief Aggregated fault-tolerance counters across all nodes. The
+  /// inherited hop-level reliability counters are summed over every
+  /// directed link.
+  struct ResilienceMetrics : net::ReliableMetrics {
     /// Full payload passes that decided a data-frame verdict. A node hashes
     /// each payload object once and reuses its CRC for later arrivals of the
     /// same object; an owner's own frames are hashed when encoded, not here.
     uint64_t payload_hashes = 0;
-    uint64_t frames_duplicate = 0;
-    uint64_t frames_gap = 0;
-    uint64_t frames_stale = 0;
-    uint64_t frames_invalid = 0;
-    uint64_t nacks_sent = 0;
     uint64_t acks_sent = 0;
     // Node liveness.
     uint64_t heartbeats_sent = 0;

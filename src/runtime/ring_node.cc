@@ -87,17 +87,8 @@ void RingNode::Adopt(Side side, RingNode* peer) {
 
 void RingNode::SnapshotResilience(RingCluster::ResilienceMetrics* out) const {
   for (const Link& l : links_) {
-    for (const net::ReliableMetrics* m : {&l.out.metrics(), &l.in.metrics()}) {
-      out->retransmits += m->retransmits;
-      out->frames_abandoned += m->frames_abandoned;
-      out->link_resets += m->link_resets;
-      out->frames_corrupted += m->frames_corrupted;
-      out->frames_duplicate += m->frames_duplicate;
-      out->frames_gap += m->frames_gap;
-      out->frames_stale += m->frames_stale;
-      out->frames_invalid += m->frames_invalid;
-      out->nacks_sent += m->nacks_sent;
-    }
+    out->Add(l.out.metrics());
+    out->Add(l.in.metrics());
   }
   out->acks_sent += hop_.acks_sent;
   out->heartbeats_sent += hop_.heartbeats_sent;

@@ -192,8 +192,6 @@ struct SubmitOptions {
   /// Parameter bindings for prepared plans: variables the plan reads but
   /// never assigns are seeded from here.
   std::unordered_map<std::string, mal::Datum> params;
-  /// Dataflow width override; 0 = the cluster's plan_workers option.
-  size_t plan_workers = 0;
   /// Transient-failure retry (Session::Execute only).
   RetryPolicy retry;
   /// Read at this commit version instead of the latest (nullopt = latest).

@@ -171,7 +171,9 @@ TEST_F(EngineFixture, DataflowExecutionMatchesSequential) {
   Context ctx2 = ctx;
   ctx2.out = &out2;
   Interpreter par(&Registry::Global(), ctx2);
-  auto result = par.RunDataflow(*prog, 4);
+  ExecOptions options;
+  options.workers = 4;
+  auto result = par.Execute(*prog, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(out.str(), out2.str());
 }

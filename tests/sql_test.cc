@@ -311,14 +311,23 @@ TEST(MalErrors, ParserFillsStructuredError) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: SQL vs hand-written MAL on a live ring, workers {1, 8}.
+// Differential: SQL vs hand-written MAL on a live ring whose plans run 1 and
+// 8 instructions wide (RingCluster::Options::plan_workers).
 // ---------------------------------------------------------------------------
+
+constexpr size_t kPlanWidths[] = {1, 8};
 
 class SqlDifferential : public ::testing::Test {
  protected:
-  void SetUp() override {
+  // Every test starts on a ring of the default plan width; the differential
+  // tests rebuild it at each of kPlanWidths.
+  void SetUp() override { StartRing(runtime::RingCluster::Options{}.plan_workers); }
+
+  void StartRing(size_t plan_workers) {
+    cluster.reset();
     runtime::RingCluster::Options opts;
     opts.num_nodes = 3;
+    opts.plan_workers = plan_workers;
     opts.node.min_resend_timeout = FromMillis(20);
     cluster = std::make_unique<runtime::RingCluster>(opts);
     Load(0, "sys.t.a", bat::MakeLngColumn({1, 2, 3, 4, 5, 6}));
@@ -334,12 +343,10 @@ class SqlDifferential : public ::testing::Test {
         cluster->LoadBat(node, name, bat::Bat::MakeColumn(std::move(tail))).ok());
   }
 
-  Result<runtime::QueryResult> Run(const std::string& text, size_t workers) {
+  Result<runtime::QueryResult> Run(const std::string& text) {
     auto session = cluster->OpenSession(0);
     if (!session.ok()) return session.status();
-    runtime::SubmitOptions submit;
-    submit.plan_workers = workers;
-    return session->Execute(text, submit);
+    return session->Execute(text);
   }
 
   static std::vector<std::vector<std::string>> Rows(const runtime::ResultSet& rs) {
@@ -354,14 +361,14 @@ class SqlDifferential : public ::testing::Test {
     return rows;
   }
 
-  /// Runs the SQL text and the hand-written MAL plan at `workers` and
-  /// compares the exported tables (`ordered` = false compares as multisets,
-  /// for plans whose row order is not pinned by an ORDER BY).
-  void ExpectSameTable(const std::string& sql, const std::string& mal, size_t workers,
+  /// Runs the SQL text and the hand-written MAL plan and compares the
+  /// exported tables (`ordered` = false compares as multisets, for plans
+  /// whose row order is not pinned by an ORDER BY).
+  void ExpectSameTable(const std::string& sql, const std::string& mal,
                        bool ordered = true) {
-    auto sql_result = Run(sql, workers);
+    auto sql_result = Run(sql);
     ASSERT_TRUE(sql_result.ok()) << sql_result.status().ToString();
-    auto mal_result = Run(mal, workers);
+    auto mal_result = Run(mal);
     ASSERT_TRUE(mal_result.ok()) << mal_result.status().ToString();
     auto got = Rows(sql_result->result);
     auto want = Rows(mal_result->result);
@@ -369,7 +376,7 @@ class SqlDifferential : public ::testing::Test {
       std::sort(got.begin(), got.end());
       std::sort(want.begin(), want.end());
     }
-    EXPECT_EQ(got, want) << "workers=" << workers;
+    EXPECT_EQ(got, want) << "plan_workers=" << cluster->options().plan_workers;
   }
 
   std::unique_ptr<runtime::RingCluster> cluster;
@@ -406,28 +413,31 @@ end d2;
 )";
 
 TEST_F(SqlDifferential, FilterMatchesHandWrittenMal) {
-  for (size_t workers : {size_t{1}, size_t{8}}) {
-    ExpectSameTable("select a from t where a > 2", kFilterMal, workers);
+  for (size_t width : kPlanWidths) {
+    StartRing(width);
+    ExpectSameTable("select a from t where a > 2", kFilterMal);
   }
 }
 
 TEST_F(SqlDifferential, JoinMatchesHandWrittenMal) {
-  for (size_t workers : {size_t{1}, size_t{8}}) {
-    ExpectSameTable("select u.v from t, u where t.a = u.id", kJoinMal, workers,
+  for (size_t width : kPlanWidths) {
+    StartRing(width);
+    ExpectSameTable("select u.v from t, u where t.a = u.id", kJoinMal,
                     /*ordered=*/false);
   }
 }
 
 TEST_F(SqlDifferential, ScalarSumMatchesMalAggregate) {
-  for (size_t workers : {size_t{1}, size_t{8}}) {
-    auto sql_result = Run("select sum(a) from t", workers);
+  for (size_t width : kPlanWidths) {
+    StartRing(width);
+    auto sql_result = Run("select sum(a) from t");
     ASSERT_TRUE(sql_result.ok()) << sql_result.status().ToString();
     const runtime::ResultSet& rs = sql_result->result;
     ASSERT_TRUE(rs.has_table());
     ASSERT_EQ(rs.num_rows(), 1u);
 
     auto mal_result =
-        Run("X1 := sql.bind(\"sys\",\"t\",\"a\",0);\nX2 := aggr.sum(X1);\n", workers);
+        Run("X1 := sql.bind(\"sys\",\"t\",\"a\",0);\nX2 := aggr.sum(X1);\n");
     ASSERT_TRUE(mal_result.ok()) << mal_result.status().ToString();
     const mal::Datum& scalar = mal_result->result.scalar();
     ASSERT_TRUE(std::holds_alternative<int64_t>(scalar));
@@ -436,12 +446,13 @@ TEST_F(SqlDifferential, ScalarSumMatchesMalAggregate) {
 }
 
 TEST_F(SqlDifferential, GroupByOrderByMatchesExpectedTable) {
-  for (size_t workers : {size_t{1}, size_t{8}}) {
-    auto result = Run("select s, count(*), sum(a) from t group by s order by s", workers);
+  for (size_t width : kPlanWidths) {
+    StartRing(width);
+    auto result = Run("select s, count(*), sum(a) from t group by s order by s");
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const runtime::ResultSet& rs = result->result;
     // a = 1..6, s alternates x,y,x,y,x,y: x -> {1,3,5}, y -> {2,4,6}.
-    ASSERT_EQ(rs.num_rows(), 2u) << "workers=" << workers;
+    ASSERT_EQ(rs.num_rows(), 2u) << "plan_workers=" << width;
     ASSERT_EQ(rs.num_columns(), 3u);
     EXPECT_EQ(rs.StringAt(0, 0), "x");
     EXPECT_EQ(rs.Int64At(0, 1), 3);
